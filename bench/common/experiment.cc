@@ -35,13 +35,11 @@ const char* EngineName(EngineKind kind) {
 }
 
 std::unique_ptr<ContinuousEngine> MakeEngine(EngineKind kind,
-                                             MatchSemantics semantics,
-                                             int64_t threads) {
+                                             MatchSemantics semantics) {
   switch (kind) {
     case EngineKind::kTurboFlux: {
       TurboFluxOptions options;
       options.semantics = semantics;
-      options.threads = threads > 1 ? static_cast<size_t>(threads) : 1;
       return std::make_unique<TurboFluxEngine>(options);
     }
     case EngineKind::kSymBi: {
@@ -73,12 +71,7 @@ std::unique_ptr<ContinuousEngine> MakeEngine(EngineKind kind,
 }
 
 void ApplyStreamingFlags(const Flags& flags, ExperimentOptions& options) {
-  options.threads = flags.Threads();
-  options.batch = flags.Batch();
   options.stats_json = flags.StatsJson();
-  // `--threads` implies batching: a window of 1 op cannot be parallelized,
-  // so give the batched path something to chew on unless overridden.
-  if (options.threads > 1 && options.batch <= 1) options.batch = 64;
 }
 
 namespace {
@@ -159,11 +152,10 @@ QuerySetResult RunQuerySet(EngineKind engine_kind,
   out.aggregate = Aggregate0(EngineName(engine_kind));
   for (const QueryGraph& q : queries) {
     std::unique_ptr<ContinuousEngine> engine =
-        MakeEngine(engine_kind, options.semantics, options.threads);
+        MakeEngine(engine_kind, options.semantics);
     CountingSink sink;
     RunOptions run_options;
     run_options.timeout_ms = options.timeout_ms;
-    run_options.batch_size = options.batch;
     run_options.collect_stats = !options.stats_json.empty();
     RunResult r = RunContinuous(*engine, q, dataset.initial, dataset.stream,
                                 sink, run_options);

@@ -22,11 +22,8 @@ enum class EngineKind { kTurboFlux, kSymBi, kSjTree, kGraphflow,
 
 const char* EngineName(EngineKind kind);
 
-/// `threads` > 1 enables TurboFlux's parallel batched-update path (other
-/// engines ignore it and stay sequential).
 std::unique_ptr<ContinuousEngine> MakeEngine(EngineKind kind,
-                                             MatchSemantics semantics,
-                                             int64_t threads = 1);
+                                             MatchSemantics semantics);
 
 /// Scaled-down stand-ins for the paper's datasets (Section 5.1). `scale`
 /// multiplies the default size (1.0 = the default laptop-size dataset);
@@ -51,12 +48,6 @@ struct QuerySetResult {
 struct ExperimentOptions {
   int64_t timeout_ms = 2000;
   MatchSemantics semantics = MatchSemantics::kHomomorphism;
-  /// Worker threads for TurboFlux's ApplyBatch path (1 = the paper's
-  /// sequential model); ignored by the baseline engines.
-  int64_t threads = 1;
-  /// Update-window size handed to ApplyBatch per call; 1 streams ops one
-  /// ApplyUpdate at a time. Output is identical either way.
-  int64_t batch = 1;
   /// When non-empty, every run collects an observability snapshot and the
   /// process-wide per-engine accumulation is rewritten to this JSON file
   /// after each query set — the machine-readable perf-trajectory artifact
@@ -64,8 +55,7 @@ struct ExperimentOptions {
   std::string stats_json;
 };
 
-/// Fills `threads`/`batch`/`stats_json` from the implicit
-/// `--threads`/`--batch`/`--stats_json` flags (and the THREADS/BATCH/
+/// Fills `stats_json` from the implicit `--stats_json` flag (and the
 /// STATS_DIR environment, via reproduce_all.sh).
 void ApplyStreamingFlags(const Flags& flags, ExperimentOptions& options);
 

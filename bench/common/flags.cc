@@ -9,8 +9,6 @@ namespace bench {
 
 Flags::Flags(int argc, char** argv, const std::vector<std::string>& known) {
   std::vector<std::string> all_known = known;
-  all_known.push_back("threads");
-  all_known.push_back("batch");
   all_known.push_back("stats_json");
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];

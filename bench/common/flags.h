@@ -12,23 +12,15 @@ namespace bench {
 /// binaries. Unknown flags abort with a usage message so typos do not
 /// silently run the default experiment.
 ///
-/// Three fleet-wide flags are implicitly known by every binary, so
-/// scripts/reproduce_all.sh can pass them uniformly:
-///   --threads=N     worker threads for TurboFlux's parallel batched path
-///                   (other engines stay sequential);
-///   --batch=K       update-window size fed to ApplyBatch per call;
+/// One fleet-wide flag is implicitly known by every binary, so
+/// scripts/reproduce_all.sh can pass it uniformly:
 ///   --stats_json=F  accumulate per-engine observability snapshots
 ///                   (DESIGN.md §3.8) into the JSON artifact F.
-/// Binaries that predate a flag simply ignore it. The defaults
-/// (threads=1, batch=1, no stats) reproduce the paper's sequential
-/// one-op-at-a-time model exactly.
+/// Binaries that predate it simply ignore it.
 class Flags {
  public:
   Flags(int argc, char** argv, const std::vector<std::string>& known);
 
-  /// The implicit `--threads` / `--batch` values (defaults 1/1).
-  int64_t Threads() const { return GetInt("threads", 1); }
-  int64_t Batch() const { return GetInt("batch", 1); }
   /// The implicit `--stats_json` artifact path ("" = no stats).
   std::string StatsJson() const { return GetString("stats_json", ""); }
 

@@ -4,18 +4,14 @@
 //  * DCG state transitions;
 //  * BuildDCG over growing data graphs — Lemma 4.1 predicts
 //    O(|E(g)| * |V(q)|), i.e. roughly linear per-edge time as |E| grows;
-//  * one InsertEdgeAndEval step on a warm LSBench-like engine;
-//  * ApplyBatch throughput on an embarrassingly-parallel insert-heavy
-//    stream (pass --threads=N --batch=K; see main below).
+//  * one InsertEdgeAndEval step on a warm LSBench-like engine.
 
 #include <benchmark/benchmark.h>
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <fstream>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -28,11 +24,6 @@
 
 namespace turboflux {
 namespace bench {
-
-// Set by main() from --threads / --batch before benchmark::Initialize
-// (google-benchmark rejects flags it does not know about).
-int64_t g_threads = 1;
-int64_t g_batch = 64;
 
 namespace {
 
@@ -186,77 +177,6 @@ void BM_InsertEdgeAndEval(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_InsertEdgeAndEval);
-
-// Batched-update throughput on an embarrassingly parallel workload:
-// kClusters independent star clusters, each a hub (vertex label 1) with
-// kFanout leaf children (label 2, edge label 1) and kParents parent
-// vertices (label 0). The stream inserts parent->hub edges (edge label
-// 0) round-robin across clusters, so any window of up to kClusters
-// consecutive ops is conflict-free under the batch scheduler; each
-// insert completes kFanout^2 (= 576) homomorphic matches of the query
-//   u0 -0-> u1, u1 -1-> u2, u1 -1-> u3
-// which makes the per-op cost search-dominated (the regime where the
-// parallel path pays off). Inserts are followed by the matching deletes
-// in reverse so the benchmark loop cycles with no net state growth.
-// Compare `--threads=1` vs `--threads=4 --batch=64` (EXPERIMENTS.md).
-void BM_ApplyBatch(benchmark::State& state) {
-  const size_t kClusters = 256, kFanout = 24, kParents = 8;
-  QueryGraph q;
-  QVertexId u0 = q.AddVertex(LabelSet{0});
-  QVertexId u1 = q.AddVertex(LabelSet{1});
-  QVertexId u2 = q.AddVertex(LabelSet{2});
-  QVertexId u3 = q.AddVertex(LabelSet{2});
-  q.AddEdge(u0, 0, u1);
-  q.AddEdge(u1, 1, u2);
-  q.AddEdge(u1, 1, u3);
-
-  Graph g;
-  std::vector<VertexId> hubs(kClusters);
-  std::vector<std::vector<VertexId>> parents(kClusters);
-  for (size_t c = 0; c < kClusters; ++c) {
-    hubs[c] = g.AddVertex(LabelSet{1});
-    for (size_t f = 0; f < kFanout; ++f) {
-      g.AddEdge(hubs[c], 1, g.AddVertex(LabelSet{2}));
-    }
-    for (size_t p = 0; p < kParents; ++p) {
-      parents[c].push_back(g.AddVertex(LabelSet{0}));
-    }
-  }
-
-  UpdateStream ops;
-  for (size_t p = 0; p < kParents; ++p) {
-    for (size_t c = 0; c < kClusters; ++c) {
-      ops.push_back(UpdateOp::Insert(parents[c][p], 0, hubs[c]));
-    }
-  }
-  size_t inserts = ops.size();
-  for (size_t i = inserts; i > 0; --i) {
-    const UpdateOp& op = ops[i - 1];
-    ops.push_back(UpdateOp::Delete(op.from, op.label, op.to));
-  }
-
-  TurboFluxOptions options;
-  options.threads = g_threads > 1 ? static_cast<size_t>(g_threads) : 1;
-  TurboFluxEngine engine(options);
-  CountingSink sink;
-  engine.Init(q, g, sink, Deadline::Infinite());
-
-  const size_t batch = g_batch > 0 ? static_cast<size_t>(g_batch) : 1;
-  size_t i = 0;
-  int64_t total_ops = 0;
-  for (auto _ : state) {
-    size_t n = std::min(batch, ops.size() - i);
-    std::span<const UpdateOp> window(ops.data() + i, n);
-    (void)engine.ApplyBatch(window, sink, Deadline::Infinite());
-    total_ops += static_cast<int64_t>(n);
-    i += n;
-    if (i == ops.size()) i = 0;
-  }
-  state.SetItemsProcessed(total_ops);
-  state.counters["threads"] = static_cast<double>(options.threads);
-  state.counters["batch"] = static_cast<double>(batch);
-}
-BENCHMARK(BM_ApplyBatch)->Unit(benchmark::kMillisecond);
 
 }  // namespace
 
@@ -438,8 +358,8 @@ int RunPinnedConfig(const std::string& path, const std::string& layout,
 }  // namespace bench
 }  // namespace turboflux
 
-// BENCHMARK_MAIN rejects unrecognized flags, so strip --threads/--batch
-// into globals before handing argv to google-benchmark.
+// BENCHMARK_MAIN rejects unrecognized flags, so strip this binary's own
+// flags before handing argv to google-benchmark.
 int main(int argc, char** argv) {
   std::string pinned_json;
   std::string layout_name = "current";
@@ -447,11 +367,7 @@ int main(int argc, char** argv) {
   std::vector<char*> filtered;
   filtered.push_back(argv[0]);
   for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      turboflux::bench::g_threads = std::atoll(argv[i] + 10);
-    } else if (std::strncmp(argv[i], "--batch=", 8) == 0) {
-      turboflux::bench::g_batch = std::atoll(argv[i] + 8);
-    } else if (std::strncmp(argv[i], "--pinned_json=", 14) == 0) {
+    if (std::strncmp(argv[i], "--pinned_json=", 14) == 0) {
       pinned_json = argv[i] + 14;
     } else if (std::strncmp(argv[i], "--layout_name=", 14) == 0) {
       layout_name = argv[i] + 14;

@@ -94,9 +94,17 @@ struct PointResult {
   bool ok = false;
 };
 
+/// QuerySet evaluation settings: cross-query worker threads and the
+/// update window handed to QuerySet::ApplyBatch.
+struct SetRunOptions {
+  size_t threads = 1;
+  size_t batch = 1;
+  std::string stats_json;
+};
+
 PointResult RunPoint(const workload::Dataset& dataset,
                      const std::vector<QueryGraph>& queries,
-                     const ExperimentOptions& options) {
+                     const SetRunOptions& options) {
   PointResult r;
   r.queries = queries.size();
   r.ops = dataset.stream.size();
@@ -137,8 +145,7 @@ PointResult RunPoint(const workload::Dataset& dataset,
   SetSink set_sink;
   {
     multi::QuerySetOptions set_options;
-    set_options.threads =
-        options.threads > 1 ? static_cast<size_t>(options.threads) : 1;
+    set_options.threads = options.threads;
     multi::QuerySet set(set_options);
     set.Bind(dataset.initial);
     Stopwatch reg;
@@ -147,9 +154,7 @@ PointResult RunPoint(const workload::Dataset& dataset,
       if (!set.Register(q, set_sink, deadline, &id).ok()) return r;
     }
     r.set_register_seconds = reg.ElapsedSeconds();
-    const size_t window = options.batch > 1
-                              ? static_cast<size_t>(options.batch)
-                              : 1;
+    const size_t window = options.batch;
     Stopwatch stream;
     for (size_t i = 0; i < dataset.stream.size(); i += window) {
       const size_t n = std::min(window, dataset.stream.size() - i);
@@ -196,15 +201,14 @@ struct ChurnResult {
 /// `churn_every` ops, against the live mid-stream graph.
 ChurnResult RunChurn(const workload::Dataset& dataset,
                      const std::vector<QueryGraph>& queries,
-                     size_t churn_every, const ExperimentOptions& options) {
+                     size_t churn_every, const SetRunOptions& options) {
   ChurnResult r;
   r.ops = dataset.stream.size();
   if (queries.empty() || churn_every == 0) return r;
   Deadline deadline = Deadline::Infinite();
 
   multi::QuerySetOptions set_options;
-  set_options.threads =
-      options.threads > 1 ? static_cast<size_t>(options.threads) : 1;
+  set_options.threads = options.threads;
   multi::QuerySet set(set_options);
   set.Bind(dataset.initial);
   SetSink sink;
@@ -256,7 +260,8 @@ double PerOp(double seconds, size_t ops) {
 int Main(int argc, char** argv) {
   Flags flags(argc, argv,
               {"counts", "ops", "scale", "num_edges", "overlap", "dup",
-               "skew", "keep_full", "churn_every", "out", "seed"});
+               "skew", "keep_full", "churn_every", "out", "seed", "threads",
+               "batch"});
   std::vector<int64_t> counts =
       flags.GetIntList("counts", {1, 10, 100, 1000});
   const size_t ops = static_cast<size_t>(flags.GetInt("ops", 400));
@@ -270,8 +275,12 @@ int Main(int argc, char** argv) {
   const std::string out_path = flags.GetString("out", "");
   const uint64_t seed = static_cast<uint64_t>(flags.GetInt("seed", 7));
 
-  ExperimentOptions options;
-  ApplyStreamingFlags(flags, options);
+  SetRunOptions options;
+  options.threads =
+      static_cast<size_t>(std::max<int64_t>(1, flags.GetInt("threads", 1)));
+  options.batch =
+      static_cast<size_t>(std::max<int64_t>(1, flags.GetInt("batch", 1)));
+  options.stats_json = flags.StatsJson();
 
   workload::Dataset dataset =
       MakeLsBenchDataset(scale, /*stream_fraction=*/0.3,

@@ -3,21 +3,13 @@
 # figure bench. Outputs land in test_output.txt and bench_output.txt at
 # the repository root. Expect ~20-40 minutes on a laptop.
 #
-# THREADS=N (and optionally BATCH=K) in the environment are forwarded to
-# every figure binary as --threads=N --batch=K, enabling TurboFlux's
-# parallel batched-update path. Defaults (1/1) reproduce the paper's
-# sequential model; outputs are identical either way.
-#
 # STATS_DIR=dir additionally passes --stats_json=dir/<bench>.stats.json to
 # every figure binary, producing one machine-readable per-engine counter/
 # latency artifact per bench (DESIGN.md §3.8) — the perf trajectory of the
 # whole reproduction.
 set -e
 cd "$(dirname "$0")/.."
-THREADS="${THREADS:-1}"
-BATCH="${BATCH:-1}"
 STATS_DIR="${STATS_DIR:-}"
-BENCH_FLAGS="--threads=$THREADS --batch=$BATCH"
 if [ -n "$STATS_DIR" ]; then mkdir -p "$STATS_DIR"; fi
 cmake -B build -G Ninja
 cmake --build build
@@ -28,7 +20,7 @@ ctest --test-dir build 2>&1 | tee test_output.txt
      if [ -n "$STATS_DIR" ]; then
        STATS_FLAG="--stats_json=$STATS_DIR/$(basename "$b").stats.json"
      fi
-     echo "=== $b $BENCH_FLAGS $STATS_FLAG ==="
-     "$b" $BENCH_FLAGS $STATS_FLAG
+     echo "=== $b $STATS_FLAG ==="
+     "$b" $STATS_FLAG
    fi
  done) 2>&1 | tee bench_output.txt

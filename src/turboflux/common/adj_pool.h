@@ -18,9 +18,8 @@ namespace turboflux {
 /// Lifetime: a Span is invalidated by ANY mutation of the owning pool
 /// (push may relocate the list, and compaction moves every list). The
 /// engine's evaluation paths only read the graph between mutations — data
-/// graph updates happen strictly at op boundaries, and `ApplyBatch`
-/// phase-1 replicas own private copies — so holding a Span across one
-/// evaluation is safe by the same argument that made the old
+/// graph updates happen strictly at op boundaries — so holding a Span
+/// across one evaluation is safe by the same argument that made the old
 /// `const std::vector&` returns safe.
 template <typename T>
 class Span {

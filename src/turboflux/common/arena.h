@@ -18,8 +18,8 @@ namespace turboflux {
 /// pathological op cannot pin unbounded memory forever: Reset() releases
 /// all but the first block when the arena ballooned past the retain cap.
 ///
-/// Not thread-safe; `ApplyBatch` phase-1 replicas each own their engine
-/// copy and with it their own arena.
+/// Not thread-safe; each engine owns its arena, and an engine is driven by
+/// one thread at a time.
 class Arena {
  public:
   static constexpr size_t kInitialBlockBytes = 1 << 16;  // 64 KiB

@@ -22,9 +22,10 @@ namespace turboflux {
 /// before a deadline was created never extends it.
 ///
 /// Thread safety (DESIGN.md §3.9): a single Deadline instance may be
-/// polled concurrently from multiple threads (the parallel batch executor
-/// shares one deadline across workers). The amortization counter and the
-/// sticky expired bit are atomics with relaxed ordering — expiry is a
+/// polled concurrently from multiple threads (QuerySet's cross-query
+/// fan-out shares one deadline across its EvalRouted workers). The
+/// amortization counter and the sticky expired bit are atomics with
+/// relaxed ordering — expiry is a
 /// monotone flag, so the worst case of a relaxed race is one extra clock
 /// read. This type is intentionally lock-free rather than Mutex-guarded:
 /// Expired() sits in the engine's innermost search loops. Copying is not

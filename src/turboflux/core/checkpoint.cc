@@ -330,16 +330,7 @@ Status TurboFluxEngine::ReadStateSections(std::istream& in,
 
   has_updated_edge_ = false;
   deadline_ = nullptr;
-  search_enabled_ = true;
-  suppress_adjust_ = false;
   dead_ = false;
-
-  // The parallel runtime is bound to the pre-restore query/graph; rebuild
-  // it lazily on the next batch.
-  replicas_.clear();
-  scheduler_.reset();
-  state_version_ = 0;
-  replica_version_ = 0;
 
   // Restore is not an op-stream event: engine counters keep accumulating
   // across it (replayed ops are re-counted; DESIGN.md §3.8), only the

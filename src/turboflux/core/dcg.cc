@@ -32,17 +32,6 @@ void Dcg::Reset(size_t num_data_vertices, const QueryTree& tree) {
   explicit_per_qv_.assign(num_qv_, 0);
 }
 
-void Dcg::CopyFrom(const Dcg& other, const QueryTree& tree) {
-  assert(tree.VertexCount() == other.num_qv_);
-  tree_ = &tree;
-  num_qv_ = other.num_qv_;
-  slot_of_ = other.slot_of_;
-  pool_ = other.pool_;
-  edge_count_ = other.edge_count_;
-  explicit_count_ = other.explicit_count_;
-  explicit_per_qv_ = other.explicit_per_qv_;
-}
-
 uint32_t Dcg::EnsureSlot(VertexId v) {
   assert(v < slot_of_.size());
   if (slot_of_[v] == kNoSlot) {

@@ -61,12 +61,6 @@ class Dcg {
   /// universe of the given size.
   void Reset(size_t num_data_vertices, const QueryTree& tree);
 
-  /// Deep copy of `other`, bound to `tree` instead of other's tree. `tree`
-  /// must describe the same query tree (typically the copying engine's own
-  /// QueryTree instance); used to clone engine replicas for the parallel
-  /// batch executor.
-  void CopyFrom(const Dcg& other, const QueryTree& tree);
-
   /// Current state of the DCG edge (from, u, to); kNull if not stored.
   DcgState GetState(VertexId from, QVertexId u, VertexId to) const;
 
@@ -137,7 +131,7 @@ class Dcg {
   std::string ToString() const;
 
   /// Binds transition counters bumped by SetState (nullptr detaches). The
-  /// binding is an observer, not state: Reset/CopyFrom/Deserialize leave
+  /// binding is an observer, not state: Reset/Deserialize leave
   /// it untouched, and Deserialize's direct list rebuild is not counted —
   /// the counters track logical transitions only.
   void set_stats(obs::DcgStats* stats) { stats_ = stats; }

@@ -5,9 +5,7 @@
 // locks by contract (MatchSink makes no single-threaded promise), and
 // checkpoint save/load is file I/O by definition.
 
-#include <algorithm>
 #include <fstream>
-#include <span>
 #include <sstream>
 #include <utility>
 #include <vector>
@@ -22,15 +20,14 @@ namespace turboflux {
 namespace {
 
 /// Holds matches back until the surrounding run commits them. A failed op
-/// or batch drops the buffer wholesale, which is what turns the engine's
+/// drops the buffer wholesale, which is what turns the engine's
 /// at-least-once replay into the sink's exactly-once delivery.
 ///
-/// mu_ guards the pending buffer: today the engine flushes batch matches
-/// to the sink on the primary thread, but MatchSink makes no
-/// single-threaded promise under parallel ApplyBatch, and the commit path
-/// must never interleave with a late append. FlushTo forwards to the
-/// downstream sink with mu_ released — the sink is user code and may
-/// block or re-enter.
+/// mu_ guards the pending buffer: today every engine reports matches on
+/// the calling thread, but MatchSink makes no single-threaded promise,
+/// and the commit path must never interleave with a late append. FlushTo
+/// forwards to the downstream sink with mu_ released — the sink is user
+/// code and may block or re-enter.
 class BufferSink : public MatchSink {
  public:
   void OnMatch(bool positive, const Mapping& m) override EXCLUDES(mu_) {
@@ -147,16 +144,7 @@ ResilientResult RunResilient(EngineInterface& engine, const QueryGraph& q,
 
   while (engine.applied_ops() < stream.size()) {
     const size_t pos = static_cast<size_t>(engine.applied_ops());
-    const size_t n =
-        options.batch_size > 1
-            ? std::min(static_cast<size_t>(options.batch_size),
-                       stream.size() - pos)
-            : 1;
-    Status step =
-        n > 1 ? engine.TryApplyBatch(
-                    std::span<const UpdateOp>(stream.data() + pos, n),
-                    pending, deadline)
-              : engine.TryApplyUpdate(stream[pos], pending, deadline);
+    Status step = engine.TryApplyUpdate(stream[pos], pending, deadline);
     if (engine.dead()) {
       // Crash path: the partial matches in the buffer are unreliable.
       // Recover only when the real budget still has room (an injected
@@ -178,7 +166,7 @@ ResilientResult RunResilient(EngineInterface& engine, const QueryGraph& q,
       continue;
     }
     // step is OK or an informational quarantine/no-op status; either way
-    // the op(s) were consumed.
+    // the op was consumed.
     bool timer_fired =
         options.checkpoint_request != nullptr &&
         options.checkpoint_request->exchange(false, std::memory_order_acq_rel);

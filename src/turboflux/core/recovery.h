@@ -25,10 +25,6 @@ struct ResilientOptions {
   /// replay work after a failure at the cost of more snapshot writes.
   size_t checkpoint_every = 0;
 
-  /// Ops per engine call: 1 uses TryApplyUpdate, > 1 uses TryApplyBatch
-  /// (parallel when the engine's `threads` option is > 1).
-  int64_t batch_size = 1;
-
   /// Give up after this many restore-and-replay cycles.
   size_t max_recoveries = 8;
 

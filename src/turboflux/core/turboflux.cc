@@ -1,48 +1,13 @@
 #include "turboflux/core/turboflux.h"
 
 #include <algorithm>
-#include <atomic>
 #include <cassert>
-#include <functional>
 #include <utility>
 
 #include "turboflux/core/matching_order.h"
 #include "turboflux/query/query_stats.h"
 
 namespace turboflux {
-
-namespace {
-
-/// Buffers one op's matches so the batch executor can merge per-op
-/// buffers in stream order after the parallel phase. Matches are stored
-/// flattened (sign + the mapping's vertex ids appended to one growing
-/// array): a heap allocation per match would dominate the parallel
-/// path's cost on match-dense streams.
-class FlatMatchBuffer : public MatchSink {
- public:
-  void OnMatch(bool positive, const Mapping& m) override {
-    signs_.push_back(positive ? 1 : 0);
-    sizes_.push_back(static_cast<uint32_t>(m.size()));
-    flat_.insert(flat_.end(), m.begin(), m.end());
-  }
-
-  void Flush(MatchSink& sink, Mapping& scratch) const {
-    size_t pos = 0;
-    for (size_t i = 0; i < signs_.size(); ++i) {
-      scratch.assign(flat_.begin() + static_cast<ptrdiff_t>(pos),
-                     flat_.begin() + static_cast<ptrdiff_t>(pos + sizes_[i]));
-      pos += sizes_[i];
-      sink.OnMatch(signs_[i] != 0, scratch);
-    }
-  }
-
- private:
-  std::vector<char> signs_;
-  std::vector<uint32_t> sizes_;
-  std::vector<VertexId> flat_;
-};
-
-}  // namespace
 
 TurboFluxEngine::TurboFluxEngine(TurboFluxOptions options)
     : options_(options) {}
@@ -79,12 +44,6 @@ bool TurboFluxEngine::InitCommon(MatchSink& sink, Deadline deadline) {
   applied_ops_ = 0;
   quarantine_.clear();
   stats_.Reset();
-
-  // Any previous parallel runtime is bound to the old query/graph.
-  replicas_.clear();
-  scheduler_.reset();
-  state_version_ = 0;
-  replica_version_ = 0;
 
   QueryStats stats = ComputeQueryStats(*q_, G());
   QVertexId root = ChooseStartQVertex(*q_, stats);
@@ -196,7 +155,6 @@ bool TurboFluxEngine::ApplyUpdate(const UpdateOp& op, MatchSink& sink,
   assert(q_ != nullptr);
   assert(!shared_mode());  // the graph owner drives EvalSharedUpdate instead
   if (dead_) return false;
-  ++state_version_;
   scratch_.Reset();
   // Crash simulation: on the op the fault plan marks, evaluate against an
   // already-expired deadline. The amortized expiry check trips partway
@@ -241,10 +199,7 @@ bool TurboFluxEngine::ApplyUpdate(const UpdateOp& op, MatchSink& sink,
   stats_.peak_intermediate.SetMax(dcg_.EdgeCount());
   NotePeakIntermediate();
   NoteGraphGauges();
-  // In batched mode the primary runs the drift check once per batch and
-  // pushes the result to its replicas; per-op checks would let replicas
-  // diverge (they see the sub-batch in a different application order).
-  if (!suppress_adjust_) MaybeAdjustMatchingOrder();
+  MaybeAdjustMatchingOrder();
   return true;
 }
 
@@ -252,7 +207,6 @@ bool TurboFluxEngine::EvalSharedUpdate(const UpdateOp& op, MatchSink& sink,
                                        Deadline deadline) {
   assert(q_ != nullptr && shared_mode());
   if (dead_) return false;
-  ++state_version_;
   scratch_.Reset();
   deadline_ = &deadline;
   has_updated_edge_ = true;
@@ -310,37 +264,6 @@ Status TurboFluxEngine::TryApplyUpdate(const UpdateOp& op, MatchSink& sink,
                                     " abandoned mid-evaluation");
   }
   return v;
-}
-
-Status TurboFluxEngine::TryApplyBatch(std::span<const UpdateOp> ops,
-                                      MatchSink& sink, Deadline deadline) {
-  assert(q_ != nullptr);
-  if (dead_) {
-    return Status::FailedPrecondition("engine is dead; Restore() it first");
-  }
-  // The data-vertex universe is fixed (updates are edge-only), so the
-  // out-of-range screen is order-independent and can run up front.
-  std::vector<UpdateOp> clean;
-  clean.reserve(ops.size());
-  size_t rejected = 0;
-  for (size_t i = 0; i < ops.size(); ++i) {
-    const UpdateOp& op = ops[i];
-    if (!G().IsValidVertex(op.from) || !G().IsValidVertex(op.to)) {
-      quarantine_.push_back(
-          {applied_ops_ + i,  // stream position once the batch commits
-           op,
-           Status::OutOfRange("op " + op.ToString() +
-                              " references unseen vertex")});
-      ++rejected;
-    } else {
-      clean.push_back(op);
-    }
-  }
-  if (!ApplyBatch(clean, sink, deadline)) {
-    return Status::DeadlineExceeded("batch abandoned mid-evaluation");
-  }
-  applied_ops_ += rejected;  // ApplyBatch already counted the clean ops
-  return Status::Ok();
 }
 
 bool TurboFluxEngine::EnumerateCurrentMatches(MatchSink& sink,
@@ -615,9 +538,6 @@ void TurboFluxEngine::ClearDcg(QVertexId child, VertexId pv, VertexId cv) {
 // --- Subgraph search (Algorithm 7) ---
 
 void TurboFluxEngine::RunSearch(QEdgeId eq, bool positive, MatchSink& sink) {
-  // State-only replay: all DCG transitions driving this call already
-  // happened in the caller; the search itself never mutates the DCG.
-  if (!search_enabled_) return;
   stats_.search_seeds.Inc();
   if (options_.semantics == MatchSemantics::kIsomorphism) {
     // The fixed seed path must itself be injective.
@@ -705,184 +625,6 @@ void TurboFluxEngine::Report(QEdgeId eq, bool positive, MatchSink& sink) {
   }
   (positive ? stats_.matches_positive : stats_.matches_negative).Inc();
   sink.OnMatch(positive, m_);
-}
-
-// --- Parallel batched evaluation ---
-
-std::unique_ptr<TurboFluxEngine> TurboFluxEngine::CloneReplica() const {
-  // Replica builds run per state-version change, not per op.
-  // tfx-lint: allow(hot-path-purity)
-  auto r = std::make_unique<TurboFluxEngine>(options_);
-  r->options_.threads = 1;  // replicas never nest parallelism
-  r->q_ = q_;
-  r->g_ = g_;
-  r->shared_g_ = shared_g_;
-  r->tree_ = tree_;
-  r->dcg_.CopyFrom(dcg_, r->tree_);
-  // CopyFrom leaves the stats binding alone; point the replica's DCG at its
-  // own counters (fresh zeros) so phase-1 search work is attributable.
-  r->dcg_.set_stats(&r->stats_.dcg);
-  r->mo_ = mo_;
-  r->start_vertices_ = start_vertices_;
-  r->dedup_rank_ = dedup_rank_;
-  r->tree_children_by_label_ = tree_children_by_label_;
-  r->non_tree_by_label_ = non_tree_by_label_;
-  r->m_ = m_;
-  r->order_counts_snapshot_ = order_counts_snapshot_;
-  r->ops_since_adjust_check_ = ops_since_adjust_check_;
-  r->order_recomputes_ = order_recomputes_;
-  r->suppress_adjust_ = true;  // the primary pushes order updates instead
-  return r;
-}
-
-bool TurboFluxEngine::ApplyUpdateStateOnly(const UpdateOp& op,
-                                           Deadline deadline) {
-  DiscardSink sink;
-  search_enabled_ = false;
-  bool ok = ApplyUpdate(op, sink, deadline);
-  search_enabled_ = true;
-  return ok;
-}
-
-void TurboFluxEngine::EnsureParallelRuntime() {
-  const size_t workers = options_.threads - 1;
-  if (!pool_ || pool_->size() != workers) {
-    // One-time lazy init; amortized across every later batch.
-    // tfx-lint: allow(hot-path-purity)
-    pool_ = std::make_unique<parallel::ThreadPool>(workers);
-  }
-  if (!scheduler_) {
-    // tfx-lint: allow(hot-path-purity)
-    scheduler_ = std::make_unique<parallel::BatchScheduler>(
-        *q_, options_.scheduler);
-    scheduler_->set_stats(&stats_.scheduler);
-  }
-  if (replicas_.size() != workers || replica_version_ != state_version_) {
-    replicas_.clear();
-    replicas_.reserve(workers);
-    for (size_t i = 0; i < workers; ++i) replicas_.push_back(CloneReplica());
-    replica_version_ = state_version_;
-  }
-}
-
-bool TurboFluxEngine::ApplyBatch(std::span<const UpdateOp> ops,
-                                 MatchSink& sink, Deadline deadline) {
-  assert(q_ != nullptr);
-  if (dead_) return false;
-  stats_.batches.Inc();
-  const size_t nthreads = std::max<size_t>(1, options_.threads);
-  if (nthreads == 1 || ops.size() <= 1) {
-    return ContinuousEngine::ApplyBatch(ops, sink, deadline);
-  }
-  EnsureParallelRuntime();
-  stats_.parallel_batches.Inc();
-  if (stats_.worker_ops.size() < nthreads) stats_.worker_ops.resize(nthreads);
-  const std::vector<std::vector<size_t>> sub_batches =
-      scheduler_->Partition(G(), ops);
-
-  // Per-op match buffers, merged into `sink` in stream order at the end so
-  // the output is independent of worker interleaving. `completed[i]` is
-  // written by exactly one worker (distinct element per op — no race).
-  std::vector<FlatMatchBuffer> buffers(ops.size());
-  std::vector<char> completed(ops.size(), 0);
-  std::atomic<bool> failed{false};
-
-  suppress_adjust_ = true;
-  for (const std::vector<size_t>& sub : sub_batches) {
-    if (failed.load(std::memory_order_relaxed)) break;
-
-    // Phase 1: worker w fully evaluates its round-robin share of the
-    // sub-batch. Ops within a sub-batch are conflict-free, so every DCG
-    // node an evaluation reads is untouched by the sibling ops and the
-    // per-op matches equal sequential ApplyUpdate's.
-    std::vector<std::function<void()>> tasks;
-    tasks.reserve(nthreads);
-    FaultInjector* inj = injector_;  // replicas never carry an injector
-    for (size_t w = 0; w < nthreads; ++w) {
-      TurboFluxEngine* eng = w == 0 ? this : replicas_[w - 1].get();
-      tasks.push_back([&, w, eng, inj] {
-        for (size_t k = w; k < sub.size(); k += nthreads) {
-          if (deadline.Expired() ||  // shared deadline, thread-safe poll
-              failed.load(std::memory_order_relaxed) ||
-              // Injected phase-1 fault: abandon the batch as a deadline
-              // expiry here would, leaving some ops evaluated and others
-              // not — the partial-batch recovery path.
-              (inj != nullptr && inj->ShouldFailBatchEval())) {
-            failed.store(true, std::memory_order_relaxed);
-            return;
-          }
-          const size_t idx = sub[k];
-          if (!eng->ApplyUpdate(ops[idx], buffers[idx], deadline)) {
-            failed.store(true, std::memory_order_relaxed);
-            return;
-          }
-          completed[idx] = 1;
-          stats_.worker_ops[w].Inc();  // counter w written only by worker w
-        }
-      });
-    }
-    Stopwatch phase1_watch;
-    pool_->RunAll(std::move(tasks));
-    stats_.phase1_seconds.RecordSeconds(phase1_watch.ElapsedSeconds());
-    if (failed.load(std::memory_order_relaxed)) break;
-
-    // Phase 2: resynchronize — every engine replays the ops the other
-    // workers evaluated, state-only. Conflict-freedom makes the state
-    // changes commute, so all engines land on the same post-sub-batch
-    // state regardless of per-worker application order.
-    tasks.clear();
-    for (size_t w = 0; w < nthreads; ++w) {
-      TurboFluxEngine* eng = w == 0 ? this : replicas_[w - 1].get();
-      tasks.push_back([&, w, eng] {
-        for (size_t k = 0; k < sub.size(); ++k) {
-          if (k % nthreads == w) continue;
-          if (!eng->ApplyUpdateStateOnly(ops[sub[k]], deadline)) {
-            failed.store(true, std::memory_order_relaxed);
-            return;
-          }
-        }
-      });
-    }
-    Stopwatch phase2_watch;
-    pool_->RunAll(std::move(tasks));
-    stats_.phase2_seconds.RecordSeconds(phase2_watch.ElapsedSeconds());
-    if (failed.load(std::memory_order_relaxed)) break;
-  }
-  suppress_adjust_ = false;
-
-  // Replica search/match counters merge into the primary's here, at a
-  // single-threaded point, so engine_stats() totals are exact regardless
-  // of which worker evaluated each op.
-  for (const std::unique_ptr<TurboFluxEngine>& r : replicas_) {
-    stats_.DrainSearchCountersFrom(r->stats_);
-  }
-
-  // Deterministic merge. When the batch was cut short, flush only the
-  // longest prefix of ops that fully evaluated: the matches delivered then
-  // equal sequential execution of exactly ops[0..limit).
-  size_t limit = ops.size();
-  if (failed.load(std::memory_order_relaxed)) {
-    limit = 0;
-    while (limit < ops.size() && completed[limit]) ++limit;
-  }
-  Mapping scratch;
-  for (size_t i = 0; i < limit; ++i) buffers[i].Flush(sink, scratch);
-  if (failed.load(std::memory_order_relaxed)) {
-    dead_ = true;  // replicas may be mid-sub-batch; the engine is unusable
-    return false;
-  }
-
-  // Batch-boundary matching-order maintenance, pushed to the replicas so
-  // every engine enters the next batch with an identical order.
-  for (size_t i = 0; i < ops.size(); ++i) MaybeAdjustMatchingOrder();
-  for (const std::unique_ptr<TurboFluxEngine>& r : replicas_) {
-    r->mo_ = mo_;
-    r->order_counts_snapshot_ = order_counts_snapshot_;
-    r->ops_since_adjust_check_ = ops_since_adjust_check_;
-    r->order_recomputes_ = order_recomputes_;
-  }
-  replica_version_ = state_version_;
-  return true;
 }
 
 // --- Matching order maintenance ---

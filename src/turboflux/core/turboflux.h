@@ -5,7 +5,6 @@
 #include <iosfwd>
 #include <memory>
 #include <optional>
-#include <span>
 #include <string>
 #include <utility>
 #include <vector>
@@ -20,8 +19,6 @@
 #include "turboflux/graph/update_stream.h"
 #include "turboflux/harness/engine.h"
 #include "turboflux/harness/fault_injection.h"
-#include "turboflux/parallel/batch.h"
-#include "turboflux/parallel/thread_pool.h"
 #include "turboflux/query/query_graph.h"
 #include "turboflux/query/query_tree.h"
 
@@ -35,13 +32,6 @@ struct TurboFluxOptions {
   /// tree (ablation baseline).
   enum class OrderPolicy { kCostBased, kBfs };
   OrderPolicy order_policy = OrderPolicy::kCostBased;
-
-  /// Worker threads used by ApplyBatch (1 = sequential; N > 1 runs the
-  /// calling thread plus N-1 pool workers over conflict-free sub-batches).
-  size_t threads = 1;
-
-  /// Conflict-region size cap handed to the batch scheduler.
-  parallel::BatchSchedulerOptions scheduler;
 
   /// Updates between AdjustMatchingOrder drift checks.
   size_t adjust_interval = 1024;
@@ -106,18 +96,6 @@ class TurboFluxEngine : public EngineInterface {
 
   bool shared_mode() const { return shared_g_ != nullptr; }
 
-  /// Parallel batched evaluation (DESIGN.md "Parallel batch evaluation"):
-  /// partitions `ops` into conflict-free sub-batches, evaluates each
-  /// sub-batch's ops concurrently on engine replicas with per-op match
-  /// buffers, resynchronizes every replica by replaying the other workers'
-  /// ops state-only, and flushes the buffers to `sink` in stream order —
-  /// the reported matches per op equal sequential ApplyUpdate's and the
-  /// final DCG is identical. Falls back to the sequential loop when
-  /// options.threads <= 1. On deadline expiry, flushes only the longest
-  /// fully-evaluated op prefix and leaves the engine dead.
-  bool ApplyBatch(std::span<const UpdateOp> ops, MatchSink& sink,
-                  Deadline deadline) override;
-
   size_t IntermediateSize() const override { return dcg_.EdgeCount(); }
   std::string name() const override;
   const obs::EngineStats* engine_stats() const override { return &stats_; }
@@ -178,15 +156,6 @@ class TurboFluxEngine : public EngineInterface {
   [[nodiscard]] Status TryApplyUpdate(const UpdateOp& op, MatchSink& sink,
                                       Deadline deadline) override;
 
-  /// Batch counterpart of TryApplyUpdate: quarantines out-of-range ops up
-  /// front and evaluates the rest via ApplyBatch. On kDeadlineExceeded
-  /// only a stream-order prefix of the batch's matches was flushed and the
-  /// engine is dead; applied_ops() is only meaningful again after
-  /// Restore().
-  [[nodiscard]] Status TryApplyBatch(std::span<const UpdateOp> ops,
-                                     MatchSink& sink,
-                                     Deadline deadline) override;
-
   /// Number of stream ops consumed so far (applied + quarantined) — the
   /// journal position persisted by Checkpoint.
   uint64_t applied_ops() const override { return applied_ops_; }
@@ -201,8 +170,7 @@ class TurboFluxEngine : public EngineInterface {
     return quarantine_;
   }
 
-  /// Installs a test-only fault injector (nullptr to disarm). Not owned;
-  /// replicas never inherit it.
+  /// Installs a test-only fault injector (nullptr to disarm). Not owned.
   void set_fault_injector(FaultInjector* injector) override {
     injector_ = injector;
   }
@@ -293,22 +261,6 @@ class TurboFluxEngine : public EngineInterface {
   /// Shared by Init and Restore.
   void RebuildDerivedIndexes();
 
-  // --- Parallel batch machinery ---
-
-  /// Deep copy of the engine's matching state (graph, tree, DCG, orders);
-  /// the replica suppresses matching-order self-adjustment — the primary
-  /// pushes order updates to replicas at batch boundaries.
-  std::unique_ptr<TurboFluxEngine> CloneReplica() const;
-
-  /// ApplyUpdate with search/reporting disabled: performs exactly the same
-  /// graph and DCG maintenance (SubgraphSearch never mutates the DCG), so
-  /// the post-state is identical to a full ApplyUpdate.
-  bool ApplyUpdateStateOnly(const UpdateOp& op, Deadline deadline);
-
-  /// Lazily builds/refreshes the pool, scheduler, and replicas; replicas
-  /// are rebuilt when interleaved single-op updates made them stale.
-  void EnsureParallelRuntime();
-
   bool Expired() { return deadline_ != nullptr && deadline_->Expired(); }
 
   TurboFluxOptions options_;
@@ -337,8 +289,7 @@ class TurboFluxEngine : public EngineInterface {
   Mapping m_;
   // Per-op scratch (DESIGN.md §3.11): bump-allocated worklists (ClearDcg
   // recursion targets) reset at the top of every update, so a warm engine
-  // performs no heap allocation on the delete hot path. Replicas own their
-  // own arena (CloneReplica constructs a fresh engine).
+  // performs no heap allocation on the delete hot path.
   Arena scratch_;
   bool has_updated_edge_ = false;
   VertexId upd_from_ = kNullVertex;
@@ -348,31 +299,18 @@ class TurboFluxEngine : public EngineInterface {
   Deadline* deadline_ = nullptr;
   bool dead_ = false;
 
-  // Hot-path counters (reset on Init; see obs/engine_stats.h for the
-  // parallel-mode accounting). Mutable because the const Checkpoint path
-  // records bytes/durations too.
+  // Hot-path counters (reset on Init). Mutable because the const
+  // Checkpoint path records bytes/durations too.
   mutable obs::EngineStats stats_;
 
   // Fault-tolerance state (see TryApplyUpdate / Checkpoint).
   uint64_t applied_ops_ = 0;
   std::vector<QuarantinedOp> quarantine_;
-  FaultInjector* injector_ = nullptr;  // not owned; never copied to replicas
+  FaultInjector* injector_ = nullptr;  // not owned
 
   std::vector<uint64_t> order_counts_snapshot_;
   size_t ops_since_adjust_check_ = 0;
   size_t order_recomputes_ = 0;
-
-  // Parallel batch state. `state_version_` counts applied updates on this
-  // instance; replicas are in sync iff replica_version_ == state_version_.
-  // `search_enabled_`/`suppress_adjust_` gate the state-only replay path
-  // and batch-boundary order adjustment (see ApplyBatch).
-  bool search_enabled_ = true;
-  bool suppress_adjust_ = false;
-  uint64_t state_version_ = 0;
-  uint64_t replica_version_ = 0;
-  std::vector<std::unique_ptr<TurboFluxEngine>> replicas_;
-  std::unique_ptr<parallel::ThreadPool> pool_;
-  std::unique_ptr<parallel::BatchScheduler> scheduler_;
 };
 
 }  // namespace turboflux

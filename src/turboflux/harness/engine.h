@@ -4,7 +4,6 @@
 #include <algorithm>
 #include <cstdint>
 #include <iosfwd>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -42,22 +41,6 @@ class ContinuousEngine {
   virtual bool ApplyUpdate(const UpdateOp& op, MatchSink& sink,
                            Deadline deadline) = 0;
 
-  /// Applies a window of consecutive update operations, reporting matches
-  /// exactly as the equivalent sequence of ApplyUpdate calls would (same
-  /// per-op match sets, ops reported in stream order). The default is the
-  /// sequential loop; engines with a parallel path override this. Returns
-  /// false if the deadline expired mid-batch — the matches reported by
-  /// then correspond to a consistent prefix of the batch, and the engine
-  /// must not be used further (TurboFlux again excepted via Restore).
-  virtual bool ApplyBatch(std::span<const UpdateOp> ops, MatchSink& sink,
-                          Deadline deadline) {
-    for (const UpdateOp& op : ops) {
-      if (!ApplyUpdate(op, sink, deadline)) return false;
-      NotePeakIntermediate();
-    }
-    return true;
-  }
-
   /// Current size of maintained intermediate results, in the engine's
   /// natural unit: DCG edges for TurboFlux, stored partial-solution vertex
   /// slots for SJ-Tree, 0 for the stateless engines.
@@ -75,8 +58,8 @@ class ContinuousEngine {
 
   /// Largest IntermediateSize() observed after any individual op since the
   /// last ResetPeakIntermediate(), never less than the current size.
-  /// Instrumented engines (and the default ApplyBatch loop) note the peak
-  /// after every op, so batch-mode peaks inside a window are not missed.
+  /// Instrumented engines note the peak after every op, so callers that
+  /// sample only at the end of a stream miss no peak.
   size_t PeakIntermediateSize() const {
     return std::max(peak_intermediate_, IntermediateSize());
   }
@@ -130,15 +113,6 @@ class EngineInterface : public ContinuousEngine {
                                               MatchSink& sink,
                                               Deadline deadline) = 0;
 
-  /// Batch counterpart of TryApplyUpdate: quarantines out-of-range ops up
-  /// front and evaluates the rest via ApplyBatch. On kDeadlineExceeded
-  /// only a stream-order prefix of the batch's matches was flushed and
-  /// the engine is dead; applied_ops() is only meaningful again after
-  /// Restore().
-  [[nodiscard]] virtual Status TryApplyBatch(std::span<const UpdateOp> ops,
-                                             MatchSink& sink,
-                                             Deadline deadline) = 0;
-
   /// Writes a crash-consistent snapshot of the full engine state (format
   /// header + CRC32-framed sections). Requires Init to have succeeded and
   /// the engine to be alive.
@@ -167,8 +141,8 @@ class EngineInterface : public ContinuousEngine {
   /// journal position persisted by Checkpoint.
   virtual uint64_t applied_ops() const = 0;
 
-  /// True once an op or batch was abandoned (deadline expiry or injected
-  /// fault); a dead engine rejects further updates until Restore().
+  /// True once an op was abandoned (deadline expiry or injected fault); a
+  /// dead engine rejects further updates until Restore().
   virtual bool dead() const = 0;
 
   /// Ops quarantined since Init (pruned on Restore to positions before the

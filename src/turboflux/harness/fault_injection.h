@@ -12,15 +12,10 @@ namespace turboflux {
 /// All triggers are one-shot and independently optional; a default plan
 /// injects nothing. Counters are 1-based ("fail the Nth"); 0 disables.
 struct FaultPlan {
-  /// Fail the Nth update op applied through the engine (counted across
-  /// ApplyUpdate and ApplyBatch). The engine simulates a crash mid-op by
-  /// swapping in an already-expired deadline, so the op is abandoned at a
-  /// genuine partial-progress point.
+  /// Fail the Nth update op applied through the engine. The engine
+  /// simulates a crash mid-op by swapping in an already-expired deadline,
+  /// so the op is abandoned at a genuine partial-progress point.
   uint64_t fail_at_op = 0;
-
-  /// Expire the deadline inside phase 1 of the Nth parallel ApplyBatch
-  /// evaluation step, exercising the partial-batch recovery path.
-  uint64_t batch_phase1_fail_after = 0;
 
   /// Bit-flip byte K of a snapshot before restoring it (applied by the
   /// test via CorruptSnapshot, not by the engine). SIZE_MAX disables.
@@ -64,14 +59,14 @@ struct FaultPlan {
 };
 
 /// Thread-safe one-shot trigger shared between a test harness and the
-/// engine under test. The engine polls ShouldFailOp / ShouldFailBatchEval
-/// at its injection points; each fires at most once per injector.
+/// engine under test. The engine polls ShouldFailOp at its injection
+/// point; each trigger fires at most once per injector.
 ///
-/// Lock-free by design (DESIGN.md §3.9): the triggers are polled from
-/// every batch worker on the op hot path, so the counters are relaxed
-/// atomics and `plan_` is immutable after construction — there is no
-/// guarded state, hence no Mutex. Re-arming means constructing a fresh
-/// injector.
+/// Lock-free by design (DESIGN.md §3.9): the triggers are polled on the
+/// op hot path and from the server's and clients' threads, so the
+/// counters are relaxed atomics and `plan_` is immutable after
+/// construction — there is no guarded state, hence no Mutex. Re-arming
+/// means constructing a fresh injector.
 class FaultInjector {
  public:
   explicit FaultInjector(const FaultPlan& plan) : plan_(plan) {}
@@ -81,13 +76,6 @@ class FaultInjector {
     if (plan_.fail_at_op == 0) return false;
     return ops_seen_.fetch_add(1, std::memory_order_relaxed) + 1 ==
            plan_.fail_at_op;
-  }
-
-  /// Called per evaluation step in ApplyBatch phase 1 (any worker thread).
-  [[nodiscard]] bool ShouldFailBatchEval() {
-    if (plan_.batch_phase1_fail_after == 0) return false;
-    return evals_seen_.fetch_add(1, std::memory_order_relaxed) + 1 ==
-           plan_.batch_phase1_fail_after;
   }
 
   // --- Service-level triggers (one-shot, same relaxed-counter scheme) ---
@@ -132,10 +120,7 @@ class FaultInjector {
   const FaultPlan& plan() const { return plan_; }
   uint64_t ops_seen() const { return ops_seen_.load(std::memory_order_relaxed); }
   bool fired() const {
-    return (plan_.fail_at_op != 0 && ops_seen() >= plan_.fail_at_op) ||
-           (plan_.batch_phase1_fail_after != 0 &&
-            evals_seen_.load(std::memory_order_relaxed) >=
-                plan_.batch_phase1_fail_after);
+    return plan_.fail_at_op != 0 && ops_seen() >= plan_.fail_at_op;
   }
 
  private:
@@ -149,7 +134,6 @@ class FaultInjector {
 
   FaultPlan plan_;
   std::atomic<uint64_t> ops_seen_{0};
-  std::atomic<uint64_t> evals_seen_{0};
   std::atomic<uint64_t> wal_records_seen_{0};
   std::atomic<uint64_t> matchlog_commits_seen_{0};
   std::atomic<uint64_t> pre_rename_seen_{0};

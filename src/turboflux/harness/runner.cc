@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <ostream>
-#include <span>
 
 #include "turboflux/common/deadline.h"
 
@@ -87,7 +86,6 @@ RunResult RunContinuous(ContinuousEngine& engine, const QueryGraph& q,
   // (works the same in TFX_STATS=0 builds).
   const bool collect = options.collect_stats;
   obs::HistogramData op_latency;
-  obs::HistogramData batch_latency;
 
   auto build_snapshot = [&]() {
     obs::StatsSnapshot s;
@@ -98,9 +96,6 @@ RunResult RunContinuous(ContinuousEngine& engine, const QueryGraph& q,
     s.AddCounter("run.peak_intermediate", result.peak_intermediate);
     s.AddCounter("run.current_intermediate", engine.IntermediateSize());
     if (op_latency.count > 0) s.AddHistogram("run.op_latency_ns", op_latency);
-    if (batch_latency.count > 0) {
-      s.AddHistogram("run.batch_latency_ns", batch_latency);
-    }
     if (const obs::EngineStats* es = engine.engine_stats()) {
       es->AppendTo(s, "engine.");
     }
@@ -118,45 +113,22 @@ RunResult RunContinuous(ContinuousEngine& engine, const QueryGraph& q,
   };
 
   Stopwatch stream_watch;
-  if (options.batch_size <= 1) {
-    for (const UpdateOp& op : stream) {
-      Stopwatch op_watch;
-      if (!engine.ApplyUpdate(op, phase_sink, deadline)) {
-        result.timed_out = true;
-        break;
-      }
-      if (collect) op_latency.RecordSeconds(op_watch.ElapsedSeconds());
-      ++result.processed_ops;
-      result.peak_intermediate =
-          std::max(result.peak_intermediate, engine.IntermediateSize());
-      maybe_emit();
+  for (const UpdateOp& op : stream) {
+    Stopwatch op_watch;
+    if (!engine.ApplyUpdate(op, phase_sink, deadline)) {
+      result.timed_out = true;
+      break;
     }
-  } else {
-    const size_t batch = static_cast<size_t>(options.batch_size);
-    for (size_t i = 0; i < stream.size(); i += batch) {
-      const size_t n = std::min(batch, stream.size() - i);
-      std::span<const UpdateOp> window(stream.data() + i, n);
-      Stopwatch batch_watch;
-      if (!engine.ApplyBatch(window, phase_sink, deadline)) {
-        result.timed_out = true;
-        break;
-      }
-      if (collect) batch_latency.RecordSeconds(batch_watch.ElapsedSeconds());
-      result.processed_ops += n;
-      result.peak_intermediate =
-          std::max(result.peak_intermediate, engine.IntermediateSize());
-      maybe_emit();
-    }
+    if (collect) op_latency.RecordSeconds(op_watch.ElapsedSeconds());
+    ++result.processed_ops;
+    result.peak_intermediate =
+        std::max(result.peak_intermediate, engine.IntermediateSize());
+    maybe_emit();
   }
   result.raw_stream_seconds = stream_watch.ElapsedSeconds();
   result.positive_matches = phase_sink.positive();
   result.negative_matches = phase_sink.negative();
   result.final_intermediate = engine.IntermediateSize();
-  // Batched runs only sample IntermediateSize() at window boundaries; the
-  // engine-side watermark (noted after every op) recovers peaks hit
-  // mid-window.
-  result.peak_intermediate =
-      std::max(result.peak_intermediate, engine.PeakIntermediateSize());
 
   result.stream_seconds = result.raw_stream_seconds;
   if (!result.timed_out && options.subtract_graph_update_cost) {

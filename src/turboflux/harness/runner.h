@@ -19,13 +19,7 @@ struct RunOptions {
   /// pass over the same stream, mirroring the paper's cost(M(Δg, q)).
   bool subtract_graph_update_cost = true;
 
-  /// Updates handed to the engine per ApplyBatch call. 1 feeds the stream
-  /// one ApplyUpdate at a time (the paper's model); larger values enable
-  /// the engine's batched path (parallel for TurboFlux when its `threads`
-  /// option is > 1). Output is equivalent either way.
-  int64_t batch_size = 1;
-
-  /// Collect per-op/per-batch latency histograms and export the engine's
+  /// Collect per-op latency histograms and export the engine's
   /// hot-path counters into RunResult::stats. Runtime-gated: works (and
   /// records the run.* metrics) even in TFX_STATS=0 builds, where the
   /// engine.* entries are absent.

@@ -61,8 +61,6 @@ class RuntimeMatchBuffer : public MatchSink {
 };
 
 QuerySetOptions Sanitize(QuerySetOptions options) {
-  // Parallelism is cross-query only; a runtime engine never batches.
-  options.engine.threads = 1;
   if (options.threads == 0) options.threads = 1;
   return options;
 }

@@ -49,8 +49,8 @@ std::string TreePrefixSignature(const QueryTree& tree, const QueryGraph& q,
                                 size_t max_depth);
 
 struct QuerySetOptions {
-  /// Per-runtime engine options. `engine.threads` is forced to 1 — the
-  /// QuerySet parallelizes *across* queries, never inside one.
+  /// Per-runtime engine options. The QuerySet parallelizes *across*
+  /// queries, never inside one.
   TurboFluxOptions engine;
 
   /// Worker threads for cross-query evaluation (1 = sequential; N > 1

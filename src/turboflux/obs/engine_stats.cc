@@ -58,21 +58,6 @@ void GraphLayoutStats::AppendTo(StatsSnapshot& out,
   out.AddCounter(prefix + "rehashes", rehashes.value());
 }
 
-void SchedulerStats::Reset() {
-  partitions.Reset();
-  scheduled_ops.Reset();
-  sub_batches.Reset();
-  global_region_ops.Reset();
-}
-
-void SchedulerStats::AppendTo(StatsSnapshot& out,
-                              const std::string& prefix) const {
-  out.AddCounter(prefix + "partitions", partitions.value());
-  out.AddCounter(prefix + "scheduled_ops", scheduled_ops.value());
-  out.AddCounter(prefix + "sub_batches", sub_batches.value());
-  out.AddCounter(prefix + "global_region_ops", global_region_ops.value());
-}
-
 void EngineStats::Reset() {
   ops_insert.Reset();
   ops_delete.Reset();
@@ -85,11 +70,6 @@ void EngineStats::Reset() {
   order_recomputes.Reset();
   intermediate_size.Reset();
   peak_intermediate.Reset();
-  batches.Reset();
-  parallel_batches.Reset();
-  phase1_seconds.Reset();
-  phase2_seconds.Reset();
-  for (Counter& c : worker_ops) c.Reset();
   checkpoints.Reset();
   restores.Reset();
   checkpoint_bytes.Reset();
@@ -99,18 +79,6 @@ void EngineStats::Reset() {
   dcg.Reset();
   dcs.Reset();
   graph.Reset();
-  scheduler.Reset();
-}
-
-void EngineStats::DrainSearchCountersFrom(EngineStats& worker) {
-  search_seeds.Inc(worker.search_seeds.value());
-  search_states.Inc(worker.search_states.value());
-  matches_positive.Inc(worker.matches_positive.value());
-  matches_negative.Inc(worker.matches_negative.value());
-  worker.search_seeds.Reset();
-  worker.search_states.Reset();
-  worker.matches_positive.Reset();
-  worker.matches_negative.Reset();
 }
 
 void EngineStats::AppendTo(StatsSnapshot& out,
@@ -126,22 +94,10 @@ void EngineStats::AppendTo(StatsSnapshot& out,
   out.AddCounter(prefix + "order_recomputes", order_recomputes.value());
   out.AddCounter(prefix + "intermediate_size", intermediate_size.value());
   out.AddCounter(prefix + "peak_intermediate", peak_intermediate.value());
-  out.AddCounter(prefix + "batches", batches.value());
-  out.AddCounter(prefix + "parallel_batches", parallel_batches.value());
-  for (size_t w = 0; w < worker_ops.size(); ++w) {
-    out.AddCounter(prefix + "worker_ops." + std::to_string(w),
-                   worker_ops[w].value());
-  }
   out.AddCounter(prefix + "checkpoints", checkpoints.value());
   out.AddCounter(prefix + "restores", restores.value());
   out.AddCounter(prefix + "checkpoint_bytes", checkpoint_bytes.value());
   out.AddCounter(prefix + "restore_bytes", restore_bytes.value());
-  if (phase1_seconds.data().count > 0) {
-    out.AddHistogram(prefix + "phase1_ns", phase1_seconds.data());
-  }
-  if (phase2_seconds.data().count > 0) {
-    out.AddHistogram(prefix + "phase2_ns", phase2_seconds.data());
-  }
   if (checkpoint_seconds.data().count > 0) {
     out.AddHistogram(prefix + "checkpoint_ns", checkpoint_seconds.data());
   }
@@ -151,7 +107,6 @@ void EngineStats::AppendTo(StatsSnapshot& out,
   dcg.AppendTo(out, prefix + "dcg.");
   dcs.AppendTo(out, prefix + "dcs.");
   graph.AppendTo(out, prefix + "graph.");
-  scheduler.AppendTo(out, prefix + "scheduler.");
 }
 
 }  // namespace obs

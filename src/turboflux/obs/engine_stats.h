@@ -2,7 +2,6 @@
 #define TURBOFLUX_OBS_ENGINE_STATS_H_
 
 #include <string>
-#include <vector>
 
 #include "turboflux/obs/stats.h"
 
@@ -68,28 +67,9 @@ struct GraphLayoutStats {
   void AppendTo(StatsSnapshot& out, const std::string& prefix) const;
 };
 
-/// Batch-scheduler counters (parallel/batch.cc).
-struct SchedulerStats {
-  Counter partitions;         ///< Partition() calls
-  Counter scheduled_ops;      ///< ops partitioned in total
-  Counter sub_batches;        ///< conflict-free sub-batches produced
-  Counter global_region_ops;  ///< ops whose influence region overflowed
-
-  void Reset();
-  void AppendTo(StatsSnapshot& out, const std::string& prefix) const;
-};
-
 /// Counters shared by every ContinuousEngine implementation (exposed via
 /// ContinuousEngine::engine_stats()). TurboFlux populates all of them; the
 /// baselines populate the subset that applies (ops, search, matches).
-///
-/// Parallel-mode accounting (TurboFlux): the primary engine performs every
-/// op's graph/DCG maintenance exactly once (phase-1 own share in full,
-/// phase-2 replay of the rest state-only), so op and DCG counters on the
-/// primary match a sequential run exactly. Search and match counters fire
-/// only on the phase-1 owner of each op, so the primary drains them from
-/// its replicas at each batch boundary (DrainSearchCountersFrom) — again
-/// landing on the sequential totals.
 struct EngineStats {
   Counter ops_insert;    ///< insertion ops evaluated (incl. no-op dups)
   Counter ops_delete;    ///< deletion ops evaluated (incl. absent-edge)
@@ -103,12 +83,6 @@ struct EngineStats {
   Gauge intermediate_size;     ///< IntermediateSize() after the last op
   Gauge peak_intermediate;     ///< high-water IntermediateSize()
 
-  Counter batches;           ///< ApplyBatch calls
-  Counter parallel_batches;  ///< ... that took the parallel path
-  Histogram phase1_seconds;  ///< per-sub-batch parallel evaluation time
-  Histogram phase2_seconds;  ///< per-sub-batch state-only resync time
-  std::vector<Counter> worker_ops;  ///< phase-1 ops evaluated per worker
-
   Counter checkpoints;       ///< successful Checkpoint() calls
   Counter restores;          ///< successful Restore() calls
   Counter checkpoint_bytes;  ///< total snapshot bytes written
@@ -119,15 +93,8 @@ struct EngineStats {
   DcgStats dcg;
   DcsStats dcs;
   GraphLayoutStats graph;
-  SchedulerStats scheduler;
 
   void Reset();
-
-  /// Batch-boundary merge: adds `worker`'s search/match counters
-  /// (search_seeds, search_states, matches_positive/negative) into this
-  /// and zeroes them on `worker`, so replica counters are never double
-  /// counted across batches.
-  void DrainSearchCountersFrom(EngineStats& worker);
 
   /// Exports every metric as prefix + member name ("engine." yields
   /// "engine.search_states", "engine.dcg.transitions", ...). Histograms

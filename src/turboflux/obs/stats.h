@@ -20,8 +20,8 @@
 //
 //  * Enabled* — a real counter/gauge/log-bucketed histogram. A Counter
 //    increment is a single unsynchronized word add; metrics are owned by
-//    exactly one engine instance (replicas carry their own), so no atomics
-//    are needed on the hot path.
+//    exactly one engine instance, so no atomics are needed on the hot
+//    path.
 //  * Noop*    — an empty type whose every member compiles away. The
 //    disabled build's instrumentation sites cost zero bytes and zero
 //    cycles; tests static_assert this (test_stats_overhead.cc).

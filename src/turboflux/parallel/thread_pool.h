@@ -14,13 +14,13 @@
 namespace turboflux {
 namespace parallel {
 
-/// A small fixed-size thread pool for the parallel batch executor.
+/// A small fixed-size thread pool for QuerySet's cross-query fan-out.
 ///
 ///  * Submit enqueues a task and returns a future; exceptions thrown by the
 ///    task are captured and rethrown from future.get().
 ///  * RunAll runs task[0] on the calling thread and the rest on workers,
 ///    waits for every task, and rethrows the first captured exception —
-///    the batch executor's one-barrier-per-phase primitive.
+///    the fan-out's one-barrier-per-op primitive.
 ///  * The destructor finishes every already-queued task before joining
 ///    (shutdown never drops work).
 ///

@@ -13,6 +13,13 @@ namespace {
 constexpr uint8_t kBlockMatches = 0;
 constexpr uint8_t kBlockCommit = 1;
 constexpr uint32_t kMaxBlockBytes = 1u << 26;  // 64 MiB corruption guard
+constexpr uint32_t kMaxBlockRecords = 1u << 24;
+constexpr uint32_t kMaxMappingLength = 1u << 20;
+
+// Encoded size of one record inside a matches block.
+size_t RecordBytes(const MatchRecord& m) {
+  return 8 + 4 + 1 + 4 + 4 * m.mapping.size();
+}
 
 void EncodeMatchesBlock(std::span<const MatchRecord> records,
                         std::string& out) {
@@ -93,12 +100,13 @@ Status MatchLog::Load(const std::string& path,
     if (!r.GetU8(&kind)) break;
     if (kind == kBlockMatches) {
       uint32_t count = 0;
-      bool bad = !r.GetLength(&count, 1u << 24);
+      bool bad = !r.GetLength(&count, kMaxBlockRecords);
       for (uint32_t i = 0; !bad && i < count; ++i) {
         MatchRecord m;
         uint32_t map_len = 0;
         if (!r.GetU64(&m.op_index) || !r.GetU32(&m.query) ||
-            !r.GetU8(&m.positive) || !r.GetLength(&map_len, 1u << 20)) {
+            !r.GetU8(&m.positive) ||
+            !r.GetLength(&map_len, kMaxMappingLength)) {
           bad = true;
           break;
         }
@@ -155,8 +163,28 @@ Status MatchLog::AppendCommit(std::span<const MatchRecord> records,
   if (file_ == nullptr) {
     return Status::FailedPrecondition("match log is not open");
   }
+  for (const MatchRecord& m : records) {
+    if (m.mapping.size() > kMaxMappingLength) {
+      return Status::InvalidArgument("match record too large for the log");
+    }
+  }
+  // Split the records over as many matches blocks as it takes for each to
+  // stay within what Load accepts (payload <= kMaxBlockBytes, <= 2^24
+  // records); Load gathers every block before the COMMIT marker. A single
+  // record is at most ~4 MiB, so every block holds at least one.
   std::string block;
-  if (!records.empty()) EncodeMatchesBlock(records, block);
+  size_t begin = 0;
+  while (begin < records.size()) {
+    size_t end = begin;
+    size_t payload = 1 + 4;  // kind + count
+    while (end < records.size() && end - begin < kMaxBlockRecords &&
+           payload + RecordBytes(records[end]) <= kMaxBlockBytes) {
+      payload += RecordBytes(records[end]);
+      ++end;
+    }
+    EncodeMatchesBlock(records.subspan(begin, end - begin), block);
+    begin = end;
+  }
   size_t before_commit = block.size();
   EncodeCommitBlock(through_op, block);
 

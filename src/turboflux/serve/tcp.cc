@@ -85,12 +85,14 @@ void TcpServer::Stop() {
     if (accept_thread_.joinable()) accept_thread_.join();
     return;
   }
+  // shutdown() wakes AcceptLoop out of accept(); the thread still reads
+  // listen_fd_, so the fd is closed and reset only after the join.
+  if (listen_fd_ >= 0) ::shutdown(listen_fd_, SHUT_RDWR);
+  if (accept_thread_.joinable()) accept_thread_.join();
   if (listen_fd_ >= 0) {
-    ::shutdown(listen_fd_, SHUT_RDWR);
     ::close(listen_fd_);
     listen_fd_ = -1;
   }
-  if (accept_thread_.joinable()) accept_thread_.join();
   std::vector<std::thread> threads;
   {
     MutexLock lock(conn_mu_);

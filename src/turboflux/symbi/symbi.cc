@@ -409,21 +409,5 @@ Status SymBiEngine::TryApplyUpdate(const UpdateOp& op, MatchSink& sink,
   return v;
 }
 
-Status SymBiEngine::TryApplyBatch(std::span<const UpdateOp> ops,
-                                  MatchSink& sink, Deadline deadline) {
-  assert(q_ != nullptr);
-  if (dead_) {
-    return Status::FailedPrecondition("engine is dead; Restore() it first");
-  }
-  // Sequential evaluation (SymBi has no parallel path yet); informational
-  // per-op statuses are swallowed exactly as TurboFlux's batch does.
-  for (const UpdateOp& op : ops) {
-    Status st = TryApplyUpdate(op, sink, deadline);
-    if (st.code() == StatusCode::kDeadlineExceeded) return st;
-    NotePeakIntermediate();
-  }
-  return Status::Ok();
-}
-
 }  // namespace symbi
 }  // namespace turboflux

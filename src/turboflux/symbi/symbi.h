@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <iosfwd>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -78,9 +77,6 @@ class SymBiEngine : public EngineInterface {
 
   [[nodiscard]] Status TryApplyUpdate(const UpdateOp& op, MatchSink& sink,
                                       Deadline deadline) override;
-  [[nodiscard]] Status TryApplyBatch(std::span<const UpdateOp> ops,
-                                     MatchSink& sink,
-                                     Deadline deadline) override;
 
   /// Snapshot format: magic "TFXS" + version, then CRC32-framed sections —
   /// meta (stream position + semantics), query graph, DAG vertex order,

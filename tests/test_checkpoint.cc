@@ -1,11 +1,15 @@
 #include <cstdlib>
+#include <span>
 #include <sstream>
 #include <string>
+#include <tuple>
+#include <vector>
 
 #include "gtest/gtest.h"
 #include "testutil.h"
 #include "turboflux/core/turboflux.h"
 #include "turboflux/harness/fault_injection.h"
+#include "turboflux/multi/query_set.h"
 
 namespace turboflux {
 namespace {
@@ -35,20 +39,18 @@ void BuildEngine(TurboFluxEngine& engine, const testutil::RandomCase& c,
 /// The core byte-identity property: a restored engine has the same DCG
 /// dump, and produces the same subsequent match stream (same matches, same
 /// order) and the same next checkpoint, as the original.
-void ExpectByteIdenticalContinuation(uint64_t seed, size_t threads) {
+void ExpectByteIdenticalContinuation(uint64_t seed) {
   testutil::RandomCaseConfig cfg;
   cfg.stream_ops = 60;
   testutil::RandomCase c = testutil::MakeRandomCase(seed, cfg);
   const size_t half = c.stream.size() / 2;
 
-  TurboFluxOptions opts;
-  opts.threads = threads;
-  TurboFluxEngine original(opts);
+  TurboFluxEngine original;
   DiscardSink discard;
   BuildEngine(original, c, half, discard);
   std::string snapshot = CheckpointToString(original);
 
-  TurboFluxEngine restored(opts);
+  TurboFluxEngine restored;
   Status st = RestoreFromString(restored, snapshot);
   ASSERT_TRUE(st.ok()) << st.ToString();
   EXPECT_EQ(restored.applied_ops(), original.applied_ops());
@@ -61,13 +63,12 @@ void ExpectByteIdenticalContinuation(uint64_t seed, size_t threads) {
   // Same checkpoint bytes from the restored engine.
   EXPECT_EQ(CheckpointToString(restored), snapshot);
 
-  // Same subsequent match stream, record for record, via the parallel
-  // batched path when threads > 1.
+  // Same subsequent match stream, record for record.
   CollectingSink a, b;
-  std::span<const UpdateOp> rest(c.stream.data() + half,
-                                 c.stream.size() - half);
-  ASSERT_TRUE(original.ApplyBatch(rest, a, Deadline::Infinite()));
-  ASSERT_TRUE(restored.ApplyBatch(rest, b, Deadline::Infinite()));
+  for (size_t i = half; i < c.stream.size(); ++i) {
+    ASSERT_TRUE(original.ApplyUpdate(c.stream[i], a, Deadline::Infinite()));
+    ASSERT_TRUE(restored.ApplyUpdate(c.stream[i], b, Deadline::Infinite()));
+  }
   ASSERT_EQ(a.size(), b.size());
   for (size_t i = 0; i < a.size(); ++i) {
     EXPECT_EQ(a.records()[i].positive, b.records()[i].positive) << "at " << i;
@@ -77,14 +78,78 @@ void ExpectByteIdenticalContinuation(uint64_t seed, size_t threads) {
 }
 
 TEST(Checkpoint, RoundTripIsByteIdenticalSequential) {
-  for (uint64_t seed : {1u, 2u, 3u, 4u}) {
-    ExpectByteIdenticalContinuation(seed, /*threads=*/1);
+  for (uint64_t seed : {1u, 2u, 3u, 4u, 5u, 6u}) {
+    ExpectByteIdenticalContinuation(seed);
   }
 }
 
+/// Every (query, sign, mapping) report of a QuerySet, in flush order.
+class TaggedSink : public multi::QuerySet::Sink {
+ public:
+  void OnMatch(multi::QueryId query, bool positive,
+               const Mapping& m) override {
+    records.emplace_back(query, positive, m);
+  }
+  std::vector<std::tuple<multi::QueryId, bool, Mapping>> records;
+};
+
+std::string SetCheckpointToString(const multi::QuerySet& set) {
+  std::ostringstream os;
+  Status st = set.Checkpoint(os);
+  EXPECT_TRUE(st.ok()) << st.ToString();
+  return os.str();
+}
+
+// The parallel path that takes checkpoints is QuerySet's cross-query
+// fan-out. A four-worker set snapshots to the same TFXQ bytes as a
+// sequential set with the same history, and a restored four-worker set
+// continues record for record and snapshot for snapshot.
 TEST(Checkpoint, RoundTripIsByteIdenticalParallel) {
   for (uint64_t seed : {5u, 6u}) {
-    ExpectByteIdenticalContinuation(seed, /*threads=*/4);
+    SCOPED_TRACE("seed=" + std::to_string(seed));
+    testutil::RandomCaseConfig cfg;
+    cfg.stream_ops = 60;
+    testutil::RandomCase c = testutil::MakeRandomCase(seed, cfg);
+    const std::vector<QueryGraph> queries = {
+        c.query,
+        testutil::MakeRandomCase(seed + 1000, cfg).query,
+        testutil::MakeRandomCase(seed + 2000, cfg).query,
+    };
+    const size_t half = c.stream.size() / 2;
+    std::span<const UpdateOp> head(c.stream.data(), half);
+    std::span<const UpdateOp> tail(c.stream.data() + half,
+                                   c.stream.size() - half);
+    const Deadline inf = Deadline::Infinite();
+
+    multi::QuerySetOptions par_opts;
+    par_opts.threads = 4;
+    par_opts.share_identical = false;
+    multi::QuerySetOptions seq_opts = par_opts;
+    seq_opts.threads = 1;
+    multi::QuerySet par(par_opts), seq(seq_opts);
+    for (multi::QuerySet* set : {&par, &seq}) {
+      set->Bind(c.g0);
+      TaggedSink discard;
+      for (const QueryGraph& q : queries) {
+        ASSERT_TRUE(set->Register(q, discard, inf, nullptr).ok());
+      }
+      ASSERT_TRUE(set->ApplyBatch(head, discard, inf).ok());
+    }
+    const std::string snapshot = SetCheckpointToString(par);
+    EXPECT_EQ(SetCheckpointToString(seq), snapshot);
+
+    multi::QuerySet restored(par_opts);
+    std::istringstream is(snapshot);
+    Status st = restored.Restore(is);
+    ASSERT_TRUE(st.ok()) << st.ToString();
+    EXPECT_EQ(restored.applied_ops(), par.applied_ops());
+    EXPECT_EQ(SetCheckpointToString(restored), snapshot);
+
+    TaggedSink a, b;
+    ASSERT_TRUE(par.ApplyBatch(tail, a, inf).ok());
+    ASSERT_TRUE(restored.ApplyBatch(tail, b, inf).ok());
+    EXPECT_EQ(a.records, b.records);
+    EXPECT_EQ(SetCheckpointToString(restored), SetCheckpointToString(par));
   }
 }
 

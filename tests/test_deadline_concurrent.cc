@@ -1,8 +1,9 @@
-// Deadline under concurrency (the parallel batch path polls one shared
-// deadline from every worker) plus the engine's cut-short-batch
-// semantics: when a deadline expires mid-batch, ApplyBatch must return
-// false, report exactly the matches of some prefix of the window (whole
-// ops, in stream order), and leave the engine dead to further updates.
+// Deadline under concurrency (QuerySet's cross-query fan-out polls one
+// shared deadline from every EvalRouted worker) plus the set's
+// cut-short-batch semantics: when a deadline expires mid-batch,
+// QuerySet::ApplyBatch must return kDeadlineExceeded, report exactly the
+// matches of the ops it consumed (whole ops, in stream order), and leave
+// the set dead to further updates.
 
 #include <atomic>
 #include <chrono>
@@ -13,6 +14,7 @@
 #include "testutil.h"
 #include "turboflux/common/deadline.h"
 #include "turboflux/core/turboflux.h"
+#include "turboflux/multi/query_set.h"
 
 namespace turboflux {
 namespace {
@@ -73,63 +75,92 @@ TEST(DeadlineConcurrent, ExpiryIsObservedByAllPollersAndSticks) {
   EXPECT_TRUE(copy.Expired());
 }
 
-using Records = std::vector<CollectingSink::Record>;
+/// One tagged match report, in the order the set flushed it.
+struct Tagged {
+  multi::QueryId query;
+  bool positive;
+  Mapping mapping;
 
-// Sequentially replays `stream` on a fresh engine, returning each op's
-// match records separately (the reference for prefix checks).
-std::vector<Records> SequentialPerOp(const RandomCase& c,
-                                     const UpdateStream& stream) {
+  friend bool operator==(const Tagged& a, const Tagged& b) {
+    return a.query == b.query && a.positive == b.positive &&
+           a.mapping == b.mapping;
+  }
+};
+
+class TaggedSink : public multi::QuerySet::Sink {
+ public:
+  void OnMatch(multi::QueryId query, bool positive,
+               const Mapping& m) override {
+    records.push_back({query, positive, m});
+  }
+  std::vector<Tagged> records;
+};
+
+// Four copies of the case's query on a four-worker set with sharing off,
+// so every routed op is evaluated by four runtimes concurrently.
+constexpr size_t kCopies = 4;
+
+multi::QuerySetOptions FanOutOptions() {
+  multi::QuerySetOptions options;
+  options.threads = 4;
+  options.share_identical = false;
+  return options;
+}
+
+void RegisterCopies(multi::QuerySet& set, const RandomCase& c) {
+  set.Bind(c.g0);
+  TaggedSink init;
+  for (size_t q = 0; q < kCopies; ++q) {
+    ASSERT_TRUE(
+        set.Register(c.query, init, Deadline::Infinite(), nullptr).ok());
+  }
+}
+
+// Sequentially replays `stream` on one fresh engine and returns, per op,
+// what the set must flush for it: the engine's records once per copy,
+// copies in id order.
+std::vector<std::vector<Tagged>> SequentialPerOp(const RandomCase& c,
+                                                 const UpdateStream& stream) {
   TurboFluxEngine seq;
   CountingSink init;
   EXPECT_TRUE(seq.Init(c.query, c.g0, init, Deadline::Infinite()));
-  std::vector<Records> out;
+  std::vector<std::vector<Tagged>> out;
   for (const UpdateOp& op : stream) {
     CollectingSink sink;
     EXPECT_TRUE(seq.ApplyUpdate(op, sink, Deadline::Infinite()));
-    out.push_back(sink.records());
+    std::vector<Tagged> tagged;
+    for (size_t q = 0; q < kCopies; ++q) {
+      for (const CollectingSink::Record& r : sink.records()) {
+        tagged.push_back(
+            {static_cast<multi::QueryId>(q), r.positive, r.mapping});
+      }
+    }
+    out.push_back(std::move(tagged));
   }
   return out;
 }
 
-bool SameRecord(const CollectingSink::Record& a,
-                const CollectingSink::Record& b) {
-  return a.positive == b.positive && a.mapping == b.mapping;
-}
-
-// True iff `got` equals the concatenation of per_op[0..k) for some k.
-bool IsPerOpPrefix(const Records& got, const std::vector<Records>& per_op) {
-  size_t pos = 0;
-  if (got.empty()) return true;
-  for (const Records& op_records : per_op) {
-    for (const CollectingSink::Record& r : op_records) {
-      if (pos == got.size()) return false;  // cut inside an op
-      if (!SameRecord(got[pos], r)) return false;
-      ++pos;
-    }
-    if (pos == got.size()) return true;
-  }
-  return pos == got.size();
-}
-
 TEST(DeadlineConcurrent, PreExpiredDeadlineCutsBatchToEmptyPrefix) {
   RandomCase c = MakeRandomCase(3, TreeConfig());
-  TurboFluxOptions opt;
-  opt.threads = 4;
-  TurboFluxEngine engine(opt);
-  CountingSink init;
-  ASSERT_TRUE(engine.Init(c.query, c.g0, init, Deadline::Infinite()));
+  multi::QuerySet set(FanOutOptions());
+  RegisterCopies(set, c);
 
   Deadline d = Deadline::AfterMillis(1);
   std::this_thread::sleep_for(std::chrono::milliseconds(5));
   while (!d.Expired()) {
   }
-  CollectingSink sink;
-  EXPECT_FALSE(engine.ApplyBatch(c.stream, sink, d));
-  EXPECT_EQ(sink.size(), 0u);
-  // The engine is dead after a cut-short batch: further updates refuse.
-  EXPECT_FALSE(
-      engine.ApplyUpdate(c.stream[0], sink, Deadline::Infinite()));
-  EXPECT_EQ(sink.size(), 0u);
+  TaggedSink sink;
+  EXPECT_EQ(set.ApplyBatch(c.stream, sink, d).code(),
+            StatusCode::kDeadlineExceeded);
+  EXPECT_TRUE(sink.records.empty());
+  // Only unrouted ops and no-ops ahead of the first evaluation were
+  // consumed; the first evaluated op was not.
+  EXPECT_LT(set.applied_ops(), c.stream.size());
+  // The set is dead after a cut-short batch: further updates refuse.
+  EXPECT_TRUE(set.dead());
+  EXPECT_EQ(set.ApplyUpdate(c.stream[0], sink, Deadline::Infinite()).code(),
+            StatusCode::kFailedPrecondition);
+  EXPECT_TRUE(sink.records.empty());
 }
 
 TEST(DeadlineConcurrent, MidBatchExpiryReportsWholeOpPrefix) {
@@ -141,28 +172,33 @@ TEST(DeadlineConcurrent, MidBatchExpiryReportsWholeOpPrefix) {
   for (int r = 0; r < 8; ++r) {
     for (const UpdateOp& op : c.stream) stream.push_back(op);
   }
-  std::vector<Records> per_op = SequentialPerOp(c, stream);
+  std::vector<std::vector<Tagged>> per_op = SequentialPerOp(c, stream);
 
   // Whether the deadline fires before, during, or after the batch is
   // timing-dependent; all three outcomes must satisfy the contract.
-  TurboFluxOptions opt;
-  opt.threads = 4;
-  TurboFluxEngine engine(opt);
-  CountingSink init;
-  ASSERT_TRUE(engine.Init(c.query, c.g0, init, Deadline::Infinite()));
-  CollectingSink sink;
-  bool ok = engine.ApplyBatch(stream, sink, Deadline::AfterMillis(2));
-  if (ok) {
-    size_t total = 0;
-    for (const Records& r : per_op) total += r.size();
-    EXPECT_EQ(sink.size(), total);
+  multi::QuerySet set(FanOutOptions());
+  RegisterCopies(set, c);
+  TaggedSink sink;
+  Status st = set.ApplyBatch(stream, sink, Deadline::AfterMillis(2));
+  if (st.ok()) {
+    EXPECT_EQ(set.applied_ops(), stream.size());
   } else {
-    EXPECT_FALSE(
-        engine.ApplyUpdate(stream[0], sink, Deadline::Infinite()));
+    EXPECT_EQ(st.code(), StatusCode::kDeadlineExceeded);
+    EXPECT_TRUE(set.dead());
+    TaggedSink after;
+    EXPECT_EQ(set.ApplyUpdate(stream[0], after, Deadline::Infinite()).code(),
+              StatusCode::kFailedPrecondition);
+    EXPECT_TRUE(after.records.empty());
   }
-  EXPECT_TRUE(IsPerOpPrefix(sink.records(), per_op))
-      << "reported " << sink.size()
-      << " records, not a whole-op prefix of the sequential run";
+  // Exactly the records of the consumed ops, whole ops in stream order.
+  std::vector<Tagged> want;
+  for (size_t i = 0; i < set.applied_ops(); ++i) {
+    want.insert(want.end(), per_op[i].begin(), per_op[i].end());
+  }
+  EXPECT_TRUE(sink.records == want)
+      << "reported " << sink.records.size() << " records after "
+      << set.applied_ops() << " consumed ops; the sequential prefix has "
+      << want.size();
 }
 
 }  // namespace

@@ -1,5 +1,6 @@
 #include "turboflux/harness/fault_injection.h"
 
+#include <atomic>
 #include <thread>
 #include <vector>
 
@@ -12,10 +13,7 @@ namespace {
 
 TEST(FaultInjector, DisabledPlanNeverFires) {
   FaultInjector inj(FaultPlan{});
-  for (int i = 0; i < 1000; ++i) {
-    EXPECT_FALSE(inj.ShouldFailOp());
-    EXPECT_FALSE(inj.ShouldFailBatchEval());
-  }
+  for (int i = 0; i < 1000; ++i) EXPECT_FALSE(inj.ShouldFailOp());
   EXPECT_FALSE(inj.fired());
 }
 
@@ -30,22 +28,47 @@ TEST(FaultInjector, FiresExactlyOnceAtTheMarkedOp) {
   for (int i = 0; i < 100; ++i) EXPECT_FALSE(inj.ShouldFailOp());
 }
 
-TEST(FaultInjector, BatchTriggerIsIndependentAndThreadSafe) {
+// The lock-free one-shot trigger fires exactly once even when four
+// threads poll it concurrently.
+TEST(FaultInjector, OpTriggerIsThreadSafe) {
   FaultPlan plan;
-  plan.batch_phase1_fail_after = 50;
+  plan.fail_at_op = 50;
   FaultInjector inj(plan);
   std::atomic<int> fires{0};
   std::vector<std::thread> threads;
   for (int t = 0; t < 4; ++t) {
     threads.emplace_back([&] {
       for (int i = 0; i < 100; ++i) {
-        if (inj.ShouldFailBatchEval()) ++fires;
+        if (inj.ShouldFailOp()) ++fires;
       }
     });
   }
   for (std::thread& t : threads) t.join();
   EXPECT_EQ(fires.load(), 1);
-  EXPECT_FALSE(inj.ShouldFailOp());  // op trigger disabled in this plan
+  EXPECT_TRUE(inj.fired());
+  EXPECT_EQ(inj.ops_seen(), 400u);
+}
+
+// The consumer-batch triggers keep their own counters: polling one from
+// four threads fires it exactly once and never trips the others.
+TEST(FaultInjector, BatchTriggerIsIndependentAndThreadSafe) {
+  FaultPlan plan;
+  plan.force_checkpoint_at_batch = 50;
+  FaultInjector inj(plan);
+  std::atomic<int> fires{0};
+  std::vector<std::thread> threads;
+  for (int t = 0; t < 4; ++t) {
+    threads.emplace_back([&] {
+      for (int i = 0; i < 100; ++i) {
+        if (inj.ShouldForceCheckpoint()) ++fires;
+      }
+    });
+  }
+  for (std::thread& t : threads) t.join();
+  EXPECT_EQ(fires.load(), 1);
+  EXPECT_FALSE(inj.ShouldStallConsumer());  // stall trigger disabled
+  EXPECT_FALSE(inj.ShouldFailOp());         // op trigger disabled
+  EXPECT_EQ(inj.ops_seen(), 0u);
 }
 
 TEST(CorruptSnapshot, FlipsOneBitInBounds) {

@@ -126,11 +126,8 @@ TEST(Table, Formatters) {
   EXPECT_EQ(Table::FormatRatio(0.0), "n/a");
 }
 
-// Regression: a peak hit *inside* a batch window must not be missed.
-// The batched runner only samples IntermediateSize() between windows, so
-// an insert-spike-then-delete sequence within one window used to report
-// the (smaller) end-of-window size; the engine-side watermark now catches
-// it (harness/engine.h PeakIntermediateSize).
+// A peak hit mid-stream must be reported, not just the end-of-stream
+// size: an insert spike followed by its deletes drains the DCG back down.
 TEST(Runner, PeakIntermediateSeesMidBatchSpike) {
   Case c;
   QVertexId u0 = c.q.AddVertex(LabelSet{0});
@@ -138,31 +135,20 @@ TEST(Runner, PeakIntermediateSeesMidBatchSpike) {
   c.q.AddEdge(u0, 0, u1);
   c.g0.AddVertex(LabelSet{0});
   for (int i = 0; i < 8; ++i) c.g0.AddVertex(LabelSet{1});
-  // Spike: eight inserts grow the DCG, then eight deletes drain it —
-  // all within a single 16-op batch window.
+  // Spike: eight inserts grow the DCG, then eight deletes drain it.
   for (VertexId v = 1; v <= 8; ++v) c.stream.push_back(UpdateOp::Insert(0, 0, v));
   for (VertexId v = 1; v <= 8; ++v) c.stream.push_back(UpdateOp::Delete(0, 0, v));
 
-  RunOptions per_op;
-  per_op.subtract_graph_update_cost = false;
-  TurboFluxEngine seq;
-  CountingSink seq_sink;
-  RunResult r_seq = RunContinuous(seq, c.q, c.g0, c.stream, seq_sink, per_op);
+  RunOptions options;
+  options.subtract_graph_update_cost = false;
+  TurboFluxEngine engine;
+  CountingSink sink;
+  RunResult r = RunContinuous(engine, c.q, c.g0, c.stream, sink, options);
 
-  RunOptions batched = per_op;
-  batched.batch_size = static_cast<int64_t>(c.stream.size());
-  TurboFluxEngine bat;
-  CountingSink bat_sink;
-  RunResult r_bat = RunContinuous(bat, c.q, c.g0, c.stream, bat_sink, batched);
-
-  EXPECT_FALSE(r_seq.timed_out);
-  EXPECT_FALSE(r_bat.timed_out);
-  // The spike grows the DCG by 8 edges above its final (drained) size;
-  // the batched run must see the same peak as the per-op run, not the
-  // end-of-window size.
-  EXPECT_EQ(r_seq.peak_intermediate, r_seq.final_intermediate + 8);
-  EXPECT_EQ(r_bat.peak_intermediate, r_seq.peak_intermediate);
-  EXPECT_EQ(r_bat.final_intermediate, r_seq.final_intermediate);
+  EXPECT_FALSE(r.timed_out);
+  // The spike grows the DCG by 8 edges above its final (drained) size.
+  EXPECT_EQ(r.peak_intermediate, r.final_intermediate + 8);
+  EXPECT_EQ(engine.PeakIntermediateSize(), r.peak_intermediate);
 }
 
 TEST(Runner, StatsSnapshotCoversRunAndEngineScopes) {

@@ -2,10 +2,10 @@
 // must be observation-equivalent — same adjacency orders, same label-list
 // orders, same serialized bytes — to the node-based layout it replaced,
 // which `legacy::NodeGraph` preserves verbatim as the oracle. On top of
-// the container-level sweep, an engine-level grid pins checkpoint bytes,
-// the match stream, and the PR 3 counter fingerprint across threads×batch
-// configurations, so the layout rework cannot leak slab/bucket geometry
-// into anything observable. A delete-heavy regression closes the loop on
+// the container-level sweep, an engine-level sweep pins checkpoint bytes
+// and the match stream against the oracle and a restore round trip, so
+// the layout rework cannot leak slab/bucket geometry into anything
+// observable. A delete-heavy regression closes the loop on
 // the unbounded-tombstone fix: the layout gauges must stay bounded when
 // 90% of the graph is torn down.
 
@@ -13,7 +13,6 @@
 #include <cstdint>
 #include <cstdlib>
 #include <random>
-#include <span>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -137,9 +136,8 @@ INSTANTIATE_TEST_SUITE_P(Seeds, LayoutDifferentialSweep,
                          ::testing::Range<uint64_t>(0, 200));
 
 // ---------------------------------------------------------------------------
-// Engine level: checkpoint bytes + match stream + counter fingerprint must
-// be identical across the threads×batch grid (the layout rework must not
-// interact with the parallel path's replica machinery).
+// Engine level: the match stream must equal the oracle's, and the
+// checkpoint bytes must survive a restore round trip unchanged.
 // ---------------------------------------------------------------------------
 
 testutil::RandomCaseConfig GridConfig() {
@@ -157,39 +155,18 @@ testutil::RandomCaseConfig GridConfig() {
 struct EngineRun {
   std::string checkpoint_bytes;
   CollectingSink matches;
-  uint64_t ops_insert = 0, ops_delete = 0;
-  uint64_t insert_evals = 0, delete_evals = 0;
-  uint64_t matches_positive = 0, matches_negative = 0;
-  uint64_t dcg_transitions = 0;
-  uint64_t intermediate = 0;
 };
 
-void RunEngine(const testutil::RandomCase& c, size_t threads, size_t batch,
-               EngineRun& out) {
-  TurboFluxOptions options;
-  options.threads = threads;
-  TurboFluxEngine engine(options);
+void RunEngine(const testutil::RandomCase& c, EngineRun& out) {
+  TurboFluxEngine engine;
   CountingSink init_sink;
   ASSERT_TRUE(engine.Init(c.query, c.g0, init_sink, Deadline::Infinite()));
-  for (size_t i = 0; i < c.stream.size(); i += batch) {
-    const size_t n = std::min(batch, c.stream.size() - i);
-    std::span<const UpdateOp> window(c.stream.data() + i, n);
-    ASSERT_TRUE(engine.ApplyBatch(window, out.matches, Deadline::Infinite()));
+  for (const UpdateOp& op : c.stream) {
+    ASSERT_TRUE(engine.ApplyUpdate(op, out.matches, Deadline::Infinite()));
   }
   std::ostringstream snapshot;
   ASSERT_TRUE(engine.Checkpoint(snapshot).ok());
   out.checkpoint_bytes = snapshot.str();
-
-  const obs::EngineStats* es = engine.engine_stats();
-  ASSERT_NE(es, nullptr);
-  out.ops_insert = es->ops_insert.value();
-  out.ops_delete = es->ops_delete.value();
-  out.insert_evals = es->insert_evals.value();
-  out.delete_evals = es->delete_evals.value();
-  out.matches_positive = es->matches_positive.value();
-  out.matches_negative = es->matches_negative.value();
-  out.dcg_transitions = es->dcg.transitions.value();
-  out.intermediate = es->intermediate_size.value();
 }
 
 class LayoutEngineGrid : public ::testing::TestWithParam<uint64_t> {};
@@ -206,31 +183,9 @@ TEST_P(LayoutEngineGrid, CheckpointBytesAndCountersStableAcrossGrid) {
   ASSERT_TRUE(testutil::RunCase(oracle, c, oracle_stream, &oracle_initial));
 
   EngineRun reference;
-  RunEngine(c, /*threads=*/1, /*batch=*/1, reference);
+  RunEngine(c, reference);
   ASSERT_TRUE(testutil::SameMatches(reference.matches, oracle_stream))
       << "seed=" << seed;
-
-  for (size_t threads : {2u, 4u}) {
-    for (size_t batch : {7u, 64u}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " batch=" + std::to_string(batch));
-      EngineRun run;
-      RunEngine(c, threads, batch, run);
-      // Byte-identical checkpoints: slab/bucket geometry never reaches
-      // the serialized form, so every configuration writes the same
-      // snapshot.
-      EXPECT_EQ(run.checkpoint_bytes, reference.checkpoint_bytes);
-      EXPECT_TRUE(testutil::SameMatches(run.matches, reference.matches));
-      EXPECT_EQ(run.ops_insert, reference.ops_insert);
-      EXPECT_EQ(run.ops_delete, reference.ops_delete);
-      EXPECT_EQ(run.insert_evals, reference.insert_evals);
-      EXPECT_EQ(run.delete_evals, reference.delete_evals);
-      EXPECT_EQ(run.matches_positive, reference.matches_positive);
-      EXPECT_EQ(run.matches_negative, reference.matches_negative);
-      EXPECT_EQ(run.dcg_transitions, reference.dcg_transitions);
-      EXPECT_EQ(run.intermediate, reference.intermediate);
-    }
-  }
 
   // And the reference snapshot restores into an engine whose own
   // checkpoint reproduces the bytes exactly.

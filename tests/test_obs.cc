@@ -337,54 +337,25 @@ TEST(Registry, ResetZeroesEverything) {
 // ---------------------------------------------------------------------------
 // EngineStats helpers
 
-TEST(EngineStats, DrainSearchCountersMovesAndZeroes) {
-  if (!kStatsCompiled) GTEST_SKIP() << "stats compiled out";
-  EngineStats primary, worker;
-  primary.search_seeds.Inc(1);
-  worker.search_seeds.Inc(2);
-  worker.search_states.Inc(30);
-  worker.matches_positive.Inc(4);
-  worker.matches_negative.Inc(5);
-  worker.ops_insert.Inc(9);  // op counters are primary-owned: must NOT move
-
-  primary.DrainSearchCountersFrom(worker);
-  EXPECT_EQ(primary.search_seeds.value(), 3u);
-  EXPECT_EQ(primary.search_states.value(), 30u);
-  EXPECT_EQ(primary.matches_positive.value(), 4u);
-  EXPECT_EQ(primary.matches_negative.value(), 5u);
-  EXPECT_EQ(primary.ops_insert.value(), 0u);
-  EXPECT_EQ(worker.search_seeds.value(), 0u);
-  EXPECT_EQ(worker.search_states.value(), 0u);
-  EXPECT_EQ(worker.matches_positive.value(), 0u);
-  EXPECT_EQ(worker.ops_insert.value(), 9u);
-
-  // Draining twice must not double count.
-  primary.DrainSearchCountersFrom(worker);
-  EXPECT_EQ(primary.search_seeds.value(), 3u);
-}
-
 TEST(EngineStats, AppendToUsesPrefixedNamesAndSkipsEmptyHistograms) {
   if (!kStatsCompiled) GTEST_SKIP() << "stats compiled out";
   EngineStats es;
   es.ops_insert.Inc(7);
   es.dcg.transitions.Inc(3);
-  es.scheduler.sub_batches.Inc(2);
-  es.worker_ops.resize(2);
-  es.worker_ops[1].Inc(5);
+  es.graph.adj_bytes.Set(64);
 
   StatsSnapshot s;
   es.AppendTo(s, "engine.");
   EXPECT_EQ(s.Value("engine.ops_insert"), 7u);
   EXPECT_EQ(s.Value("engine.dcg.transitions"), 3u);
-  EXPECT_EQ(s.Value("engine.scheduler.sub_batches"), 2u);
-  EXPECT_EQ(s.Value("engine.worker_ops.1"), 5u);
+  EXPECT_EQ(s.Value("engine.graph.adj_bytes"), 64u);
   // No samples recorded -> latency histograms are omitted entirely.
-  EXPECT_EQ(s.FindHistogram("engine.phase1_ns"), nullptr);
+  EXPECT_EQ(s.FindHistogram("engine.checkpoint_ns"), nullptr);
 
-  es.phase1_seconds.RecordSeconds(0.001);
+  es.checkpoint_seconds.RecordSeconds(0.001);
   StatsSnapshot s2;
   es.AppendTo(s2, "engine.");
-  const HistogramData* h = s2.FindHistogram("engine.phase1_ns");
+  const HistogramData* h = s2.FindHistogram("engine.checkpoint_ns");
   ASSERT_NE(h, nullptr);
   EXPECT_EQ(h->count, 1u);
 }
@@ -396,10 +367,8 @@ TEST(EngineStats, ResetClearsEverythingIncludingNested) {
   es.intermediate_size.Set(12);
   es.peak_intermediate.SetMax(20);
   es.dcg.null_to_implicit.Inc();
-  es.scheduler.partitions.Inc();
-  es.worker_ops.resize(3);
-  es.worker_ops[2].Inc();
-  es.phase2_seconds.RecordSeconds(0.5);
+  es.graph.compactions.Set(3);
+  es.restore_seconds.RecordSeconds(0.5);
   es.checkpoint_bytes.Inc(100);
 
   es.Reset();
@@ -408,7 +377,7 @@ TEST(EngineStats, ResetClearsEverythingIncludingNested) {
   for (const auto& [name, value] : s.counters) {
     EXPECT_EQ(value, 0u) << name;
   }
-  EXPECT_EQ(s.FindHistogram("phase2_ns"), nullptr);
+  EXPECT_EQ(s.FindHistogram("restore_ns"), nullptr);
 }
 
 }  // namespace

@@ -35,15 +35,11 @@ void ExpectSameRecords(const CollectingSink& want, const CollectingSink& got,
 
 /// Runs the case uninterrupted through RunResilient; the oracle every
 /// faulted run is compared against.
-ResilientResult RunOracle(const testutil::RandomCase& c, size_t threads,
-                          int64_t batch, CollectingSink& sink,
+ResilientResult RunOracle(const testutil::RandomCase& c, CollectingSink& sink,
                           std::string* final_dcg) {
-  TurboFluxOptions opts;
-  opts.threads = threads;
-  TurboFluxEngine engine(opts);
+  TurboFluxEngine engine;
   ResilientOptions ro;
   ro.checkpoint_every = 10;
-  ro.batch_size = batch;
   ResilientResult r = RunResilient(engine, c.query, c.g0, c.stream, sink, ro);
   EXPECT_TRUE(r.ok) << r.status.ToString();
   *final_dcg = engine.dcg().ToString();
@@ -53,28 +49,22 @@ ResilientResult RunOracle(const testutil::RandomCase& c, size_t threads,
 /// The recovery property: kill the engine at op `kill_at`, restore from the
 /// last checkpoint, replay — the sink must see exactly the records an
 /// uninterrupted run delivers, and the final DCG must be byte-identical.
-void CheckRecoveryProperty(uint64_t seed, uint64_t kill_at, size_t threads,
-                           int64_t batch) {
+void CheckRecoveryProperty(uint64_t seed, uint64_t kill_at) {
   SCOPED_TRACE("seed=" + std::to_string(seed) +
-               " kill_at=" + std::to_string(kill_at) +
-               " threads=" + std::to_string(threads) +
-               " batch=" + std::to_string(batch));
+               " kill_at=" + std::to_string(kill_at));
   testutil::RandomCase c = testutil::MakeRandomCase(seed, {});
 
   CollectingSink oracle_sink;
   std::string oracle_dcg;
-  RunOracle(c, threads, batch, oracle_sink, &oracle_dcg);
+  RunOracle(c, oracle_sink, &oracle_dcg);
 
   FaultPlan plan;
   plan.fail_at_op = kill_at;
   FaultInjector inj(plan);
 
-  TurboFluxOptions opts;
-  opts.threads = threads;
-  TurboFluxEngine engine(opts);
+  TurboFluxEngine engine;
   ResilientOptions ro;
   ro.checkpoint_every = 10;
-  ro.batch_size = batch;
   ro.injector = &inj;
   CollectingSink sink;
   ResilientResult r = RunResilient(engine, c.query, c.g0, c.stream, sink, ro);
@@ -107,7 +97,7 @@ TEST(Recovery, NoFaultMatchesPlainLoop) {
 
     CollectingSink sink;
     std::string dcg;
-    ResilientResult r = RunOracle(c, /*threads=*/1, /*batch=*/1, sink, &dcg);
+    ResilientResult r = RunOracle(c, sink, &dcg);
     EXPECT_EQ(r.ops_consumed, c.stream.size());
     EXPECT_EQ(r.initial_matches, init_counter.positive());
     EXPECT_EQ(r.recoveries, 0u);
@@ -117,62 +107,20 @@ TEST(Recovery, NoFaultMatchesPlainLoop) {
   }
 }
 
-// The main randomized sweep: >= 100 (seed, kill-point) pairs across thread
-// counts and batch sizes, more under TFX_LONG_TESTS=1.
+// The main randomized sweep over (seed, kill-point) pairs, more under
+// TFX_LONG_TESTS=1.
 TEST(Recovery, KillRestoreReplayMatchesOracle) {
   const uint64_t seeds = LongTests() ? 20 : 5;
   const std::vector<uint64_t> kills = {1, 3, 7, 12, 20};
-  const std::vector<std::pair<size_t, int64_t>> configs = {
-      {1, 1}, {1, 8}, {4, 1}, {4, 8}};
   for (uint64_t seed = 1; seed <= seeds; ++seed) {
-    for (uint64_t kill : kills) {
-      for (const auto& [threads, batch] : configs) {
-        CheckRecoveryProperty(seed, kill, threads, batch);
-      }
-    }
+    for (uint64_t kill : kills) CheckRecoveryProperty(seed, kill);
   }
 }
 
 // Kill past the end of the stream: the injector never fires and the run is
 // just the oracle.
 TEST(Recovery, KillPointBeyondStreamIsBenign) {
-  CheckRecoveryProperty(/*seed=*/4, /*kill_at=*/10'000, /*threads=*/1,
-                        /*batch=*/1);
-}
-
-// Fault inside phase 1 of the parallel batch evaluator: a worker thread
-// aborts the batch mid-flight; recovery must still converge to the oracle.
-TEST(Recovery, BatchPhase1FaultRecovers) {
-  for (uint64_t seed : {1u, 2u, 3u, 4u, 5u}) {
-    for (uint64_t after : {1u, 5u, 15u}) {
-      SCOPED_TRACE("seed=" + std::to_string(seed) +
-                   " after=" + std::to_string(after));
-      testutil::RandomCase c = testutil::MakeRandomCase(seed, {});
-
-      CollectingSink oracle_sink;
-      std::string oracle_dcg;
-      RunOracle(c, /*threads=*/4, /*batch=*/8, oracle_sink, &oracle_dcg);
-
-      FaultPlan plan;
-      plan.batch_phase1_fail_after = after;
-      FaultInjector inj(plan);
-      TurboFluxOptions opts;
-      opts.threads = 4;
-      TurboFluxEngine engine(opts);
-      ResilientOptions ro;
-      ro.checkpoint_every = 10;
-      ro.batch_size = 8;
-      ro.injector = &inj;
-      CollectingSink sink;
-      ResilientResult r =
-          RunResilient(engine, c.query, c.g0, c.stream, sink, ro);
-      ASSERT_TRUE(r.ok) << r.status.ToString();
-      EXPECT_TRUE(inj.fired());
-      EXPECT_GE(r.recoveries, 1u);
-      ExpectSameRecords(oracle_sink, sink, "batch fault vs oracle");
-      EXPECT_EQ(engine.dcg().ToString(), oracle_dcg);
-    }
-  }
+  CheckRecoveryProperty(/*seed=*/4, /*kill_at=*/10'000);
 }
 
 // Malformed ops in the stream are quarantined, not fatal, and recovery
@@ -284,7 +232,7 @@ TEST(Recovery, CheckpointRequestAtEveryOpBoundary) {
 
   CollectingSink oracle_sink;
   std::string oracle_dcg;
-  RunOracle(c, /*threads=*/1, /*batch=*/1, oracle_sink, &oracle_dcg);
+  RunOracle(c, oracle_sink, &oracle_dcg);
 
   FaultPlan plan;
   plan.fail_at_op = 7;
@@ -325,57 +273,49 @@ TEST(Recovery, CheckpointRequestAtEveryOpBoundary) {
 }
 
 // Timer-race variant: a 1 ms timer thread fires the request while the
-// runner chews parallel batches, so commits land at unpredictable batch
-// boundaries — swept across kill points and batch shapes.
+// runner works through the stream, so commits land at unpredictable op
+// boundaries — swept across kill points.
 TEST(Recovery, CheckpointRequestTimerRacesKillAndReplay) {
   const std::vector<uint64_t> kills = {1, 5, 12, 20};
-  const std::vector<std::pair<size_t, int64_t>> configs = {{1, 1}, {4, 8}};
   for (uint64_t seed : {31u, 32u}) {
     for (uint64_t kill : kills) {
-      for (const auto& [threads, batch] : configs) {
-        SCOPED_TRACE("seed=" + std::to_string(seed) +
-                     " kill=" + std::to_string(kill) +
-                     " threads=" + std::to_string(threads) +
-                     " batch=" + std::to_string(batch));
-        testutil::RandomCase c = testutil::MakeRandomCase(seed, {});
+      SCOPED_TRACE("seed=" + std::to_string(seed) +
+                   " kill=" + std::to_string(kill));
+      testutil::RandomCase c = testutil::MakeRandomCase(seed, {});
 
-        CollectingSink oracle_sink;
-        std::string oracle_dcg;
-        RunOracle(c, threads, batch, oracle_sink, &oracle_dcg);
+      CollectingSink oracle_sink;
+      std::string oracle_dcg;
+      RunOracle(c, oracle_sink, &oracle_dcg);
 
-        FaultPlan plan;
-        plan.fail_at_op = kill;
-        FaultInjector inj(plan);
+      FaultPlan plan;
+      plan.fail_at_op = kill;
+      FaultInjector inj(plan);
 
-        std::atomic<bool> request{false};
-        std::atomic<bool> stop{false};
-        std::thread timer([&] {
-          while (!stop.load(std::memory_order_relaxed)) {
-            request.store(true, std::memory_order_relaxed);
-            std::this_thread::sleep_for(std::chrono::milliseconds(1));
-          }
-        });
+      std::atomic<bool> request{false};
+      std::atomic<bool> stop{false};
+      std::thread timer([&] {
+        while (!stop.load(std::memory_order_relaxed)) {
+          request.store(true, std::memory_order_relaxed);
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        }
+      });
 
-        TurboFluxOptions opts;
-        opts.threads = threads;
-        TurboFluxEngine engine(opts);
-        ResilientOptions ro;
-        ro.checkpoint_every = 10;  // both schedules active at once
-        ro.batch_size = batch;
-        ro.injector = &inj;
-        ro.checkpoint_request = &request;
-        CollectingSink sink;
-        ResilientResult r =
-            RunResilient(engine, c.query, c.g0, c.stream, sink, ro);
-        stop.store(true, std::memory_order_relaxed);
-        timer.join();
+      TurboFluxEngine engine;
+      ResilientOptions ro;
+      ro.checkpoint_every = 10;  // both schedules active at once
+      ro.injector = &inj;
+      ro.checkpoint_request = &request;
+      CollectingSink sink;
+      ResilientResult r =
+          RunResilient(engine, c.query, c.g0, c.stream, sink, ro);
+      stop.store(true, std::memory_order_relaxed);
+      timer.join();
 
-        ASSERT_TRUE(r.ok) << r.status.ToString();
-        EXPECT_EQ(r.ops_consumed, c.stream.size());
-        ExpectSameRecords(oracle_sink, sink, "timer-raced checkpoints");
-        EXPECT_EQ(engine.dcg().ToString(), oracle_dcg);
-        EXPECT_TRUE(engine.dcg().Validate().empty());
-      }
+      ASSERT_TRUE(r.ok) << r.status.ToString();
+      EXPECT_EQ(r.ops_consumed, c.stream.size());
+      ExpectSameRecords(oracle_sink, sink, "timer-raced checkpoints");
+      EXPECT_EQ(engine.dcg().ToString(), oracle_dcg);
+      EXPECT_TRUE(engine.dcg().Validate().empty());
     }
   }
 }

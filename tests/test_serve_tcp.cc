@@ -216,6 +216,39 @@ TEST(ServeTcp, DroppedConnectionMidFrameDiscardsThePartialRequest) {
   EXPECT_EQ(rig.server->Pos(3).seq, 4u);
 }
 
+// Listen/Stop cycles with a client connecting concurrently: Stop must not
+// race the accept thread over the listening socket (the TSan job runs
+// this), and each cycle must shut down cleanly whatever the client got.
+TEST(ServeTcp, ListenStopCyclesWithConcurrentClient) {
+  Rig rig("cycles");
+  for (int i = 0; i < 20; ++i) {
+    TcpServer tcp;
+    ASSERT_TRUE(tcp.Listen(*rig.server, 0).ok());
+    const uint16_t port = tcp.port();
+    std::thread client([port] {
+      TcpClient c;
+      if (!c.Connect("127.0.0.1", port).ok()) return;
+      Request ping;
+      ping.kind = Request::Kind::kPing;
+      Response r;
+      (void)c.Call(ping, &r);  // may fail: the listener is going away
+    });
+    if (i % 2 == 0) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    tcp.Stop();
+    client.join();
+  }
+
+  // The server is unharmed and its own frontend still answers.
+  TcpClient client;
+  ASSERT_TRUE(client.Connect("127.0.0.1", rig.tcp.port()).ok());
+  Request ping;
+  ping.kind = Request::Kind::kPing;
+  Response r;
+  ASSERT_TRUE(client.Call(ping, &r).ok());
+  EXPECT_EQ(r.kind, Response::Kind::kPong);
+  EXPECT_FALSE(rig.server->died());
+}
+
 }  // namespace
 }  // namespace serve
 }  // namespace turboflux

@@ -257,6 +257,50 @@ TEST(MatchLog, TornCommitRollsBackToPreviousMarker) {
   EXPECT_EQ(records.size(), 4u);
 }
 
+// A commit larger than Load's 64 MiB per-block guard is split over several
+// matches blocks; a single oversized block would be read back as a torn
+// tail and the whole commit lost.
+TEST(MatchLog, CommitLargerThanOneBlockRoundTrips) {
+  TempDir dir("bigcommit");
+  const std::string path = dir.File("matches.log");
+  std::vector<MatchRecord> big(17);
+  for (size_t i = 0; i < big.size(); ++i) {
+    big[i].op_index = i;
+    big[i].query = static_cast<uint32_t>(i % 3);
+    big[i].positive = i % 2 == 0 ? 1 : 0;
+    big[i].mapping.assign(1'000'000, static_cast<VertexId>(i));
+    big[i].mapping.back() = static_cast<VertexId>(1000 + i);
+  }
+  {
+    MatchLog log;
+    ASSERT_TRUE(log.Open(path, 0).ok());
+    ASSERT_TRUE(log.AppendCommit(big, 17, nullptr).ok());
+  }
+  EXPECT_GT(fs::file_size(path), uint64_t{1} << 26);
+  std::vector<MatchRecord> records;
+  uint64_t watermark = 0;
+  uint64_t valid_bytes = 0;
+  ASSERT_TRUE(MatchLog::Load(path, &records, &watermark, &valid_bytes).ok());
+  EXPECT_EQ(watermark, 17u);
+  EXPECT_EQ(valid_bytes, fs::file_size(path));
+  ASSERT_EQ(records.size(), big.size());
+  for (size_t i = 0; i < big.size(); ++i) {
+    EXPECT_TRUE(records[i] == big[i]) << "record " << i;
+  }
+}
+
+TEST(MatchLog, OversizedRecordIsRejected) {
+  TempDir dir("oversized");
+  const std::string path = dir.File("matches.log");
+  std::vector<MatchRecord> records(1);
+  records[0].mapping.assign((1u << 20) + 1, 0);
+  MatchLog log;
+  ASSERT_TRUE(log.Open(path, 0).ok());
+  EXPECT_EQ(log.AppendCommit(records, 1, nullptr).code(),
+            StatusCode::kInvalidArgument);
+  EXPECT_EQ(fs::file_size(path), 0u);
+}
+
 TEST(MatchLog, CanonicalStreamIsGroupingIndependent) {
   // The chaos oracle compares match streams that were committed in
   // different block groupings (different checkpoint cadences); the

@@ -1,13 +1,10 @@
 // Engine-differential test net (ISSUE 9 satellite): SymBi, TurboFlux, and
 // the exponential OracleEngine consume identical op tapes, and every op's
-// match multiset must coincide across all three — then across the
-// threads×batch grid (TurboFlux's parallel path, both engines' batch
-// windows), and finally under kill/restore replay through RunResilient,
-// where the faulted SymBi run must reproduce the unfaulted run's record
-// stream byte-for-byte.
+// match multiset must coincide across all three — and then under
+// kill/restore replay through RunResilient, where the faulted SymBi run
+// must reproduce the unfaulted run's record stream byte-for-byte.
 
 #include <cstdlib>
-#include <span>
 #include <string>
 #include <unordered_map>
 #include <vector>
@@ -69,24 +66,6 @@ bool RunPerOp(Engine& engine, const testutil::RandomCase& c,
   return true;
 }
 
-/// Full-stream run through ApplyBatch windows; returns the total multiset.
-bool RunBatched(ContinuousEngine& engine, const testutil::RandomCase& c,
-                size_t batch, CollectingSink& matches, uint64_t* initial) {
-  CountingSink init_sink;
-  if (!engine.Init(c.query, c.g0, init_sink, Deadline::Infinite())) {
-    return false;
-  }
-  *initial = init_sink.positive();
-  for (size_t i = 0; i < c.stream.size(); i += batch) {
-    const size_t n = std::min(batch, c.stream.size() - i);
-    std::span<const UpdateOp> window(c.stream.data() + i, n);
-    if (!engine.ApplyBatch(window, matches, Deadline::Infinite())) {
-      return false;
-    }
-  }
-  return true;
-}
-
 void ExpectSameRecords(const CollectingSink& want, const CollectingSink& got,
                        const std::string& what) {
   ASSERT_EQ(want.size(), got.size()) << what;
@@ -128,39 +107,7 @@ void DifferentialSeed(uint64_t seed) {
         << c.stream[i].ToString() << ")";
   }
 
-  // 2. The threads×batch grid: TurboFlux's parallel batches and SymBi's
-  // sequential batch windows must all land on the same total multiset.
-  CollectingSink symbi_seq;
-  {
-    symbi::SymBiEngine engine;
-    uint64_t initial = 0;
-    ASSERT_TRUE(RunBatched(engine, c, /*batch=*/1, symbi_seq, &initial));
-    EXPECT_EQ(initial, symbi_initial);
-  }
-  for (size_t threads : {2u, 4u}) {
-    for (size_t batch : {7u, 64u}) {
-      SCOPED_TRACE("threads=" + std::to_string(threads) +
-                   " batch=" + std::to_string(batch));
-      TurboFluxOptions options;
-      options.threads = threads;
-      TurboFluxEngine grid_tfx(options);
-      CollectingSink tfx_matches;
-      uint64_t initial = 0;
-      ASSERT_TRUE(RunBatched(grid_tfx, c, batch, tfx_matches, &initial));
-      EXPECT_EQ(initial, symbi_initial);
-      EXPECT_TRUE(testutil::SameMatches(tfx_matches, symbi_seq));
-
-      symbi::SymBiEngine grid_symbi;
-      CollectingSink symbi_matches;
-      ASSERT_TRUE(RunBatched(grid_symbi, c, batch, symbi_matches, &initial));
-      EXPECT_EQ(initial, symbi_initial);
-      // Same engine, different window size: record order is preserved,
-      // not merely the multiset.
-      ExpectSameRecords(symbi_seq, symbi_matches, "SymBi batch window");
-    }
-  }
-
-  // 3. Kill/restore replay: a faulted resilient SymBi run must deliver the
+  // 2. Kill/restore replay: a faulted resilient SymBi run must deliver the
   // unfaulted run's record stream byte-for-byte (RunResilient commits
   // matches in deterministic order), and agree with TurboFlux's multiset
   // through the same resilient path.

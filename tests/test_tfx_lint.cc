@@ -147,8 +147,8 @@ TEST(TfxLintDiscardedStatus, DeclarationsAndDefinitionsAreClean) {
 TEST(TfxLintDiscardedStatus, MultiLineCallIsFlagged) {
   const std::string bad =
       "void F(Engine& e) {\n"
-      "  e.TryApplyBatch(ops,\n"
-      "                  sink, deadline);\n"
+      "  e.TryApplyUpdate(op,\n"
+      "                   sink, deadline);\n"
       "}\n";
   const std::vector<Finding> findings = LintOne("src/a.cc", bad);
   ASSERT_EQ(findings.size(), 1u);

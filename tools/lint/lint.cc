@@ -471,8 +471,7 @@ std::vector<Finding> Lint(const std::vector<FileInput>& files) {
   LintContext ctx;
   // Seed with the engine API even when turboflux.h is outside the linted
   // set (e.g. linting a single test file).
-  ctx.status_functions = {"Checkpoint", "Restore", "TryApplyUpdate",
-                          "TryApplyBatch"};
+  ctx.status_functions = {"Checkpoint", "Restore", "TryApplyUpdate"};
   struct Prepared {
     const FileInput* file;
     std::vector<Token> tokens;

@@ -7,7 +7,7 @@
 //   tfx_run --graph=g0.txt --query=q.txt --stream=dg.txt
 //           [--engine=turboflux|symbi|sjtree|graphflow|incisomat]
 //           [--semantics=hom|iso] [--timeout_ms=N] [--print_matches]
-//           [--threads=N] [--batch=K] [--lenient]
+//           [--lenient]
 //           [--checkpoint-every=N] [--checkpoint-path=F] [--restore-from=F]
 //           [--stats[=json|csv]] [--stats-every=N]
 //
@@ -15,13 +15,11 @@
 // registers every query file in DIR (sorted by filename) in one
 // multi::QuerySet over a single shared graph, routes each stream update
 // to only the queries it can affect, and reports per-query match counts
-// to stderr. --threads=N evaluates routed queries in parallel; --stats
+// to stderr. --threads=N evaluates routed queries in parallel and
+// --batch=K feeds the stream to the set in windows of K ops (both are
+// multi-query only; output is identical to the sequential run); --stats
 // prints the set's counters including per-query cost attribution.
 // Matches printed by --print_matches are prefixed with the query id.
-//
-// --batch=K feeds the stream to the engine in windows of K ops via
-// ApplyBatch; --threads=N (TurboFlux only) evaluates each window on N
-// threads. Output is identical to the sequential run.
 //
 // --lenient skips (and counts to stderr) malformed graph/stream records
 // instead of aborting on the first one.
@@ -253,15 +251,17 @@ int Main(int argc, char** argv) {
                  "--stream=S "
                  "[--engine=turboflux|symbi|sjtree|graphflow|incisomat] "
                  "[--semantics=hom|iso] [--timeout_ms=N] "
-                 "[--print_matches] [--threads=N] [--batch=K] [--lenient] "
+                 "[--print_matches] [--threads=N --batch=K with --queries] "
+                 "[--lenient] "
                  "[--checkpoint-every=N] [--checkpoint-path=F] "
                  "[--restore-from=F] [--stats[=json|csv]] "
                  "[--stats-every=N]\n");
     return 2;
   }
-  if (threads > 1 && engine_name != "turboflux") {
+  if (queries_dir.empty() && (!GetFlag(argc, argv, "threads", "").empty() ||
+                              !GetFlag(argc, argv, "batch", "").empty())) {
     std::fprintf(stderr,
-                 "--threads is only supported by --engine=turboflux\n");
+                 "--threads/--batch are only supported with --queries\n");
     return 2;
   }
   if (resilient && engine_name != "turboflux" && engine_name != "symbi") {
@@ -333,7 +333,6 @@ int Main(int argc, char** argv) {
     } else {
       TurboFluxOptions options;
       options.semantics = semantics;
-      options.threads = threads > 1 ? static_cast<size_t>(threads) : 1;
       resilient_engine = std::make_unique<TurboFluxEngine>(options);
     }
 
@@ -345,7 +344,6 @@ int Main(int argc, char** argv) {
     ro.timeout_ms = timeout_ms;
     ro.checkpoint_every =
         checkpoint_every > 0 ? static_cast<size_t>(checkpoint_every) : 0;
-    ro.batch_size = batch > 1 ? batch : 1;
     ro.checkpoint_path = checkpoint_path;
     ro.restore_from = restore_from;
     ro.collect_stats = !stats_mode.empty();
@@ -379,7 +377,6 @@ int Main(int argc, char** argv) {
   if (engine_name == "turboflux") {
     TurboFluxOptions options;
     options.semantics = semantics;
-    options.threads = threads > 1 ? static_cast<size_t>(threads) : 1;
     engine = std::make_unique<TurboFluxEngine>(options);
   } else if (engine_name == "symbi") {
     symbi::SymBiOptions options;
@@ -406,7 +403,6 @@ int Main(int argc, char** argv) {
   RunOptions run_options;
   run_options.timeout_ms = timeout_ms;
   run_options.subtract_graph_update_cost = false;
-  run_options.batch_size = batch > 1 ? batch : 1;
   run_options.collect_stats = !stats_mode.empty();
   run_options.stats_every = stats_every;
   run_options.stats_sink = &std::cerr;

@@ -1,10 +1,13 @@
-// Fuzz target: CRC32 section framing (common/serialize.h) — the substrate
-// every checkpoint format (TFXC/TFXQ/TFXS) is built on.
+// Fuzz target: CRC32 section framing and CRC-framed log records
+// (common/serialize.h) — the substrate every checkpoint format
+// (TFXC/TFXQ/TFXS) and both service logs (op journal, match log) are
+// built on.
 //
 // Input layout: the first 4 bytes (little-endian) are the tag
 // ReadSection expects; the rest is the byte stream to parse. Committed
 // seeds use matching tags so the happy path stays covered; the fuzzer
-// mutates both sides.
+// mutates both sides. The whole input is also scanned as a log, record
+// by record, the way the op journal and the match log are loaded.
 //
 // Invariants checked (abort() on violation):
 //   - ReadSection never crashes or over-allocates on corrupt size fields
@@ -12,12 +15,15 @@
 //   - A section ReadSection accepts must survive a WriteSection ->
 //     ReadSection round trip bit-for-bit.
 //   - The bounds-checked bin::Reader never reads past the payload.
+//   - NextRecord only moves its cursor forward, never past the end, and
+//     every record it accepts is re-encoded bit-for-bit by PutRecord.
 
 #include <cstddef>
 #include <cstdint>
 #include <cstdlib>
 #include <sstream>
 #include <string>
+#include <string_view>
 
 #include "turboflux/common/serialize.h"
 
@@ -60,5 +66,21 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, size_t size) {
   // sequences of sections).
   std::string rest;
   (void)bin::ReadSection(in, tag, &rest);
+
+  // Log scan: stop at the first torn record, as Load does.
+  const std::string_view log(reinterpret_cast<const char*>(data), size);
+  size_t pos = 0;
+  std::string_view record;
+  while (true) {
+    const size_t before = pos;
+    if (!bin::NextRecord(log, &pos, 1u << 16, &record)) {
+      if (pos != before) abort();
+      break;
+    }
+    if (pos <= before || pos > log.size()) abort();
+    std::string reencoded;
+    bin::PutRecord(reencoded, record);
+    if (reencoded != log.substr(before, pos - before)) abort();
+  }
   return 0;
 }

@@ -4,8 +4,8 @@
 # installed (the container ships GCC only; Clang adds the thread-safety
 # analysis and clang-tidy/clang-format add their gates).
 #
-#   scripts/check.sh                 # build + tfx_lint + tfx_analyze +
-#                                    # fuzz smoke + tidy + format
+#   scripts/check.sh                 # build + tfx_analyze + fuzz smoke +
+#                                    # tidy + format
 #   scripts/check.sh --format-only   # just the format check
 #   scripts/check.sh --base REF      # diff base for the format check
 #                                    # (default: origin/main, then HEAD)
@@ -89,21 +89,14 @@ if ! command -v clang++ >/dev/null 2>&1; then
   skip "thread-safety analysis (install clang to run it locally)"
 fi
 
-# --- 2. tfx_lint over the whole tree ---------------------------------------
-note "tfx_lint"
-if ! "$BUILD_DIR/tools/tfx_lint" -p "$BUILD_DIR/compile_commands.json" \
-     --root "$ROOT"; then
-  fail "tfx_lint"
-fi
-
-# --- 3. tfx_analyze: semantic tier + lock-order graph -----------------------
-note "tfx_analyze (semantic tier; graph: $BUILD_DIR/lock_order.dot)"
+# --- 2. tfx_analyze: token + semantic tiers, lock-order graph --------------
+note "tfx_analyze (both tiers; graph: $BUILD_DIR/lock_order.dot)"
 if ! "$BUILD_DIR/tools/tfx_analyze" -p "$BUILD_DIR/compile_commands.json" \
      --root "$ROOT" --lock-graph "$BUILD_DIR/lock_order.dot"; then
   fail "tfx_analyze"
 fi
 
-# --- 4. Fuzz smoke: replay corpora, then ~30s of fuzzing if libFuzzer ------
+# --- 3. Fuzz smoke: replay corpora, then ~30s of fuzzing if libFuzzer ------
 note "fuzz corpora replay"
 for t in frame_decoder section_reader graph_io; do
   if ! "$BUILD_DIR/fuzz/fuzz_$t" "$ROOT/tests/corpus/$t"; then
@@ -132,7 +125,7 @@ else
   skip "coverage-guided fuzz smoke (install clang for libFuzzer)"
 fi
 
-# --- 5. clang-tidy ----------------------------------------------------------
+# --- 4. clang-tidy ----------------------------------------------------------
 if command -v clang-tidy >/dev/null 2>&1; then
   note "clang-tidy (curated zero-warning baseline)"
   RUNNER=""
@@ -159,7 +152,7 @@ else
   skip "clang-tidy not installed"
 fi
 
-# --- 6. Format check --------------------------------------------------------
+# --- 5. Format check --------------------------------------------------------
 format_check
 
 [ $FAILED = 0 ] && note "all available checks passed"

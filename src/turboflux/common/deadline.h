@@ -12,15 +12,6 @@ namespace turboflux {
 /// clock is amortized over kCheckInterval calls so the check is cheap
 /// enough for inner loops.
 ///
-/// Pause compensation (DESIGN.md §3.12): steady_clock keeps advancing
-/// while the process is frozen (SIGSTOP, container freeze, debugger), so
-/// without correction a long-suspended server would expire every in-flight
-/// deadline the instant it resumes. A detector that notices the freeze
-/// (serve::PauseDetector, or any caller) reports it via NotePause(); each
-/// Deadline snapshots the global pause credit at creation and treats
-/// credit accumulated *after* that point as extra budget. Credit noted
-/// before a deadline was created never extends it.
-///
 /// Thread safety (DESIGN.md §3.9): a single Deadline instance may be
 /// polled concurrently from multiple threads (QuerySet's cross-query
 /// fan-out shares one deadline across its EvalRouted workers). The
@@ -44,20 +35,15 @@ class Deadline {
   // call reads the clock: a near-expired deadline copied into a fresh
   // operation must not defer its first clock read by up to kCheckInterval
   // calls (the copy inherits none of the original's polling history).
-  // The pause-credit snapshot IS inherited: the copy stands in for the
-  // same logical operation, so pauses before the original was created
-  // must not extend the copy either.
   Deadline(const Deadline& other)
       : when_(other.when_),
         infinite_(other.infinite_),
-        credit_at_create_(other.credit_at_create_),
         expired_(other.expired_.load(std::memory_order_relaxed)),
         calls_(kCheckInterval - 1) {}
 
   Deadline& operator=(const Deadline& other) {
     when_ = other.when_;
     infinite_ = other.infinite_;
-    credit_at_create_ = other.credit_at_create_;
     expired_.store(other.expired_.load(std::memory_order_relaxed),
                    std::memory_order_relaxed);
     calls_.store(kCheckInterval - 1, std::memory_order_relaxed);
@@ -70,7 +56,6 @@ class Deadline {
     Deadline d;
     d.infinite_ = false;
     d.when_ = Clock::now() + budget;
-    d.credit_at_create_ = pause_credit_ns_.load(std::memory_order_relaxed);
     return d;
   }
 
@@ -85,7 +70,7 @@ class Deadline {
     if (expired_.load(std::memory_order_relaxed)) return true;
     uint32_t n = calls_.fetch_add(1, std::memory_order_relaxed) + 1;
     if (n % kCheckInterval != 0) return false;
-    if (Clock::now() >= EffectiveWhen()) {
+    if (Clock::now() >= when_) {
       expired_.store(true, std::memory_order_relaxed);
       return true;
     }
@@ -96,33 +81,11 @@ class Deadline {
   [[nodiscard]] bool ExpiredNow() {
     if (infinite_) return false;
     if (expired_.load(std::memory_order_relaxed)) return true;
-    if (Clock::now() >= EffectiveWhen()) {
+    if (Clock::now() >= when_) {
       expired_.store(true, std::memory_order_relaxed);
       return true;
     }
     return false;
-  }
-
-  /// Reports a wall-clock pause (process freeze, machine suspend) of the
-  /// given duration. Every *live* deadline created before the pause gains
-  /// the duration as extra budget; deadlines created afterwards are
-  /// unaffected. Monotone and global — there is no way (and no need) to
-  /// take credit back. Thread-safe; typically called by a heartbeat
-  /// thread (serve::PauseDetector) when it observes a scheduling gap.
-  ///
-  /// Limitation: the credit only helps a deadline that has not yet been
-  /// *observed* expired — a poll that lands after resume but before the
-  /// detector runs still latches the sticky expired bit. The detector's
-  /// cadence bounds that window.
-  static void NotePause(std::chrono::nanoseconds pause) {
-    if (pause.count() > 0) {
-      pause_credit_ns_.fetch_add(pause.count(), std::memory_order_relaxed);
-    }
-  }
-
-  /// Total pause credit ever noted, in nanoseconds (observability/tests).
-  static int64_t TotalPauseCreditNanos() {
-    return pause_credit_ns_.load(std::memory_order_relaxed);
   }
 
   /// Wall-clock time left before expiry, saturating at zero. Infinite
@@ -135,9 +98,8 @@ class Deadline {
       return std::chrono::milliseconds(0);
     }
     Clock::time_point now = Clock::now();
-    Clock::time_point when = EffectiveWhen();
-    if (now >= when) return std::chrono::milliseconds(0);
-    return std::chrono::duration_cast<std::chrono::milliseconds>(when - now);
+    if (now >= when_) return std::chrono::milliseconds(0);
+    return std::chrono::duration_cast<std::chrono::milliseconds>(when_ - now);
   }
 
   bool infinite() const { return infinite_; }
@@ -145,21 +107,8 @@ class Deadline {
  private:
   static constexpr uint32_t kCheckInterval = 256;
 
-  /// The nominal expiry point pushed out by every pause noted since this
-  /// deadline was created.
-  Clock::time_point EffectiveWhen() const {
-    int64_t credit = pause_credit_ns_.load(std::memory_order_relaxed) -
-                     credit_at_create_;
-    if (credit <= 0) return when_;
-    return when_ + std::chrono::nanoseconds(credit);
-  }
-
-  // Process-wide monotone pause credit, in nanoseconds.
-  static inline std::atomic<int64_t> pause_credit_ns_{0};
-
   Clock::time_point when_;
   bool infinite_ = false;
-  int64_t credit_at_create_ = 0;
   std::atomic<bool> expired_{false};
   std::atomic<uint32_t> calls_{0};
 };

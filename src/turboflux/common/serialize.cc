@@ -1,7 +1,9 @@
 #include "turboflux/common/serialize.h"
 
 #include <array>
-#include <cstring>
+#include <cerrno>
+#include <filesystem>
+#include <fstream>
 #include <istream>
 #include <ostream>
 
@@ -140,6 +142,140 @@ Status ReadSection(std::istream& in, uint32_t expected_tag,
                               std::to_string(tag) + ")");
   }
   return Status::Ok();
+}
+
+Status WriteHeader(std::ostream& out, std::string_view magic,
+                   uint32_t version) {
+  std::string header(magic);
+  PutU32(header, version);
+  out.write(header.data(), static_cast<std::streamsize>(header.size()));
+  if (!out) return Status::IoError("short write while emitting header");
+  return Status::Ok();
+}
+
+Status ReadHeader(std::istream& in, std::string_view magic,
+                  uint32_t version) {
+  std::string header(magic.size() + 4, '\0');
+  in.read(header.data(), static_cast<std::streamsize>(header.size()));
+  if (static_cast<size_t>(in.gcount()) != header.size()) {
+    return Status::Corruption("truncated " + std::string(magic) + " header");
+  }
+  if (std::string_view(header).substr(0, magic.size()) != magic) {
+    return Status::Corruption("bad magic (not a " + std::string(magic) +
+                              " snapshot)");
+  }
+  Reader r(std::string_view(header).substr(magic.size()));
+  uint32_t found = 0;
+  r.GetU32(&found);
+  if (found != version) {
+    return Status::UnsupportedVersion(
+        std::string(magic) + " format version " + std::to_string(found) +
+        " (this build reads version " + std::to_string(version) + ")");
+  }
+  return Status::Ok();
+}
+
+void PutRecord(std::string& out, std::string_view payload) {
+  PutU32(out, static_cast<uint32_t>(payload.size()));
+  out += payload;
+  PutU32(out, Crc32(payload));
+}
+
+bool NextRecord(std::string_view data, size_t* pos, uint32_t max_payload,
+                std::string_view* payload) {
+  Reader r(data.substr(*pos));
+  uint32_t len = 0;
+  if (!r.GetU32(&len) || len > max_payload ||
+      r.remaining() < uint64_t{len} + 4) {
+    return false;
+  }
+  std::string_view body = data.substr(*pos + 4, len);
+  Reader crc_reader(data.substr(*pos + 4 + len, 4));
+  uint32_t crc = 0;
+  crc_reader.GetU32(&crc);
+  if (crc != Crc32(body)) return false;
+  *payload = body;
+  *pos += 4 + size_t{len} + 4;
+  return true;
+}
+
+Status ReadFile(const std::string& path, std::string* out) {
+  std::FILE* f = std::fopen(path.c_str(), "rb");
+  if (f == nullptr) {
+    if (errno == ENOENT) return Status::NotFound("no such file: " + path);
+    return Status::IoError("cannot open " + path);
+  }
+  std::string data;
+  char chunk[1 << 16];
+  size_t n = 0;
+  while ((n = std::fread(chunk, 1, sizeof(chunk), f)) > 0) {
+    data.append(chunk, n);
+  }
+  const bool failed = std::ferror(f) != 0;
+  std::fclose(f);
+  if (failed) return Status::IoError("cannot read " + path);
+  *out = std::move(data);
+  return Status::Ok();
+}
+
+Status ReplaceFile(const std::string& path,
+                   const std::function<Status(std::ostream&)>& write) {
+  const std::string tmp = path + ".tmp";
+  {
+    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
+    if (!out) return Status::IoError("cannot open " + tmp);
+    Status st = write(out);
+    if (!st.ok()) return st;
+    out.flush();
+    if (!out) return Status::IoError("cannot write " + tmp);
+  }
+  std::error_code ec;
+  std::filesystem::rename(tmp, path, ec);
+  if (ec) {
+    return Status::IoError("cannot rename " + tmp + ": " + ec.message());
+  }
+  return Status::Ok();
+}
+
+Status AppendFile::Open(const std::string& path, uint64_t valid_bytes) {
+  Close();
+  std::error_code ec;
+  if (std::filesystem::exists(path, ec)) {
+    uint64_t size = std::filesystem::file_size(path, ec);
+    if (!ec && size > valid_bytes) {
+      std::filesystem::resize_file(path, valid_bytes, ec);
+      if (ec) return Status::IoError("cannot truncate torn tail: " + path);
+    }
+  }
+  file_ = std::fopen(path.c_str(), "ab");
+  if (file_ == nullptr) {
+    return Status::IoError("cannot open for append: " + path);
+  }
+  path_ = path;
+  return Status::Ok();
+}
+
+Status AppendFile::Append(std::string_view bytes) {
+  if (file_ == nullptr) return Status::FailedPrecondition("file is not open");
+  if (std::fwrite(bytes.data(), 1, bytes.size(), file_) != bytes.size()) {
+    return Status::IoError("append failed: " + path_);
+  }
+  return Status::Ok();
+}
+
+Status AppendFile::Flush() {
+  if (file_ == nullptr) return Status::FailedPrecondition("file is not open");
+  if (std::fflush(file_) != 0) {
+    return Status::IoError("flush failed: " + path_);
+  }
+  return Status::Ok();
+}
+
+void AppendFile::Close() {
+  if (file_ != nullptr) {
+    (void)std::fclose(file_);
+    file_ = nullptr;
+  }
 }
 
 }  // namespace bin

@@ -3,6 +3,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <cstdio>
+#include <functional>
 #include <iosfwd>
 #include <string>
 #include <string_view>
@@ -12,11 +14,14 @@
 namespace turboflux {
 namespace bin {
 
-/// Little-endian binary encoding primitives plus CRC32-framed sections —
-/// the substrate of the checkpoint format (DESIGN.md §3.7). Writers append
-/// to a std::string payload; the bounds-checked Reader never reads past
-/// the payload, so corrupted length fields fail cleanly instead of
-/// crashing.
+/// The durable-file layer (DESIGN.md §3.7): little-endian encoding
+/// primitives, the snapshot envelope (format header + CRC32-framed
+/// sections), the CRC-framed log record, and the three file operations
+/// every durable file goes through (read whole, append to a valid prefix,
+/// replace atomically). The TFXC/TFXS/TFXQ snapshots and the service's
+/// op journal and match log are all built from these. Writers append to a
+/// std::string payload; the bounds-checked Reader never reads past the
+/// payload, so corrupted length fields fail cleanly instead of crashing.
 
 void PutU8(std::string& buf, uint8_t v);
 void PutU32(std::string& buf, uint32_t v);
@@ -63,6 +68,68 @@ Status ReadSection(std::istream& in, uint32_t expected_tag,
 /// Cap on a single section's payload; a corrupted size field larger than
 /// this is reported as corruption instead of attempting the allocation.
 inline constexpr uint64_t kMaxSectionBytes = uint64_t{1} << 34;  // 16 GiB
+
+/// Snapshot header: the format's magic bytes, then its version (u32).
+Status WriteHeader(std::ostream& out, std::string_view magic,
+                   uint32_t version);
+
+/// Reads a header written by WriteHeader. A short header or a foreign
+/// magic is kCorruption (the message names `magic`); any other version is
+/// kUnsupportedVersion.
+Status ReadHeader(std::istream& in, std::string_view magic,
+                  uint32_t version);
+
+/// Log record framing: payload size (u32), payload bytes, CRC32 of the
+/// payload (u32). Appends one record to `out`.
+void PutRecord(std::string& out, std::string_view payload);
+
+/// Decodes the record starting at `data[*pos]` (`*pos <= data.size()`):
+/// on success points `*payload` into `data`, advances `*pos` past the
+/// record and returns true. Returns false, leaving `*pos` alone, at a torn
+/// tail — fewer bytes than a whole record, a size above `max_payload`, or
+/// a CRC mismatch.
+bool NextRecord(std::string_view data, size_t* pos, uint32_t max_payload,
+                std::string_view* payload);
+
+/// Reads the whole file into `*out`: kNotFound if `path` does not exist,
+/// kIoError if it cannot be read.
+Status ReadFile(const std::string& path, std::string* out);
+
+/// Writes `path` so that a killed process leaves either the old file or
+/// the new one: `write` fills `path + ".tmp"`, which is flushed and
+/// renamed over `path`. If `write` returns an error, or the temp file
+/// cannot be written, `path` is left as it was and the error is returned.
+/// Nothing is fsync'ed, so an OS crash may still lose the new file.
+Status ReplaceFile(const std::string& path,
+                   const std::function<Status(std::ostream&)>& write);
+
+/// An append-only log file (the op journal, the match log). Open drops a
+/// torn tail by truncating the file to the valid prefix its reader found.
+class AppendFile {
+ public:
+  AppendFile() = default;
+  ~AppendFile() { Close(); }
+  AppendFile(const AppendFile&) = delete;
+  AppendFile& operator=(const AppendFile&) = delete;
+
+  /// Truncates `path` to its first `valid_bytes` bytes (creating a
+  /// missing file) and opens it for appends.
+  Status Open(const std::string& path, uint64_t valid_bytes);
+
+  /// Appends `bytes`; no flush is implied.
+  Status Append(std::string_view bytes);
+
+  /// Hands every appended byte to the OS.
+  Status Flush();
+
+  void Close();
+
+  bool is_open() const { return file_ != nullptr; }
+
+ private:
+  std::string path_;
+  std::FILE* file_ = nullptr;
+};
 
 }  // namespace bin
 }  // namespace turboflux

@@ -10,7 +10,6 @@
 // matching order itself) is stored verbatim so a restored engine reproduces
 // the original's subsequent match stream byte-for-byte.
 
-#include <cstring>
 #include <istream>
 #include <memory>
 #include <ostream>
@@ -27,7 +26,7 @@ namespace turboflux {
 
 namespace {
 
-constexpr char kMagic[4] = {'T', 'F', 'X', 'C'};
+constexpr std::string_view kMagic = "TFXC";
 constexpr uint32_t kFormatVersion = 1;
 
 // Section tags (arbitrary distinct constants), in write order.
@@ -53,12 +52,8 @@ Status TurboFluxEngine::Checkpoint(std::ostream& out) const {
   Stopwatch watch;
   const std::streampos start_pos = out.tellp();
 
-  out.write(kMagic, sizeof(kMagic));
-  std::string hdr;
-  bin::PutU32(hdr, kFormatVersion);
-  out.write(hdr.data(), static_cast<std::streamsize>(hdr.size()));
-
-  Status st = WriteStateSections(out, /*include_graph=*/true);
+  Status st = bin::WriteHeader(out, kMagic, kFormatVersion);
+  if (st.ok()) st = WriteStateSections(out, /*include_graph=*/true);
   if (!st.ok()) return st;
 
   out.flush();
@@ -137,31 +132,12 @@ Status TurboFluxEngine::Restore(std::istream& in) {
   Stopwatch watch;
   const std::streampos start_pos = in.tellg();
 
-  char magic[sizeof(kMagic)];
-  in.read(magic, sizeof(magic));
-  if (in.gcount() != sizeof(magic) ||
-      std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
+  Status st = bin::ReadHeader(in, kMagic, kFormatVersion);
+  if (!st.ok()) {
     dead_ = true;
-    return Status::Corruption("bad checkpoint magic");
+    return st;
   }
-  char vbytes[4];
-  in.read(vbytes, sizeof(vbytes));
-  if (in.gcount() != sizeof(vbytes)) {
-    dead_ = true;
-    return Status::Corruption("truncated checkpoint header");
-  }
-  uint32_t version = 0;
-  bin::Reader vr(std::string_view(vbytes, sizeof(vbytes)));
-  vr.GetU32(&version);
-  if (version != kFormatVersion) {
-    dead_ = true;
-    return Status::UnsupportedVersion(
-        "checkpoint format version " + std::to_string(version) +
-        " (this build reads version " + std::to_string(kFormatVersion) +
-        ")");
-  }
-
-  Status st = ReadStateSections(in, /*shared_graph=*/nullptr);
+  st = ReadStateSections(in, /*shared_graph=*/nullptr);
   if (!st.ok()) return st;  // ReadStateSections left the engine dead
 
   stats_.restores.Inc();

@@ -5,13 +5,13 @@
 // locks by contract (MatchSink makes no single-threaded promise), and
 // checkpoint save/load is file I/O by definition.
 
-#include <fstream>
 #include <sstream>
 #include <utility>
 #include <vector>
 
 #include "turboflux/common/deadline.h"
 #include "turboflux/common/match.h"
+#include "turboflux/common/serialize.h"
 #include "turboflux/common/synchronization.h"
 #include "turboflux/common/thread_annotations.h"
 
@@ -99,15 +99,13 @@ ResilientResult RunResilient(EngineInterface& engine, const QueryGraph& q,
     if (!st.ok()) return st;
     snapshot = os.str();
     if (!options.checkpoint_path.empty()) {
-      std::ofstream f(options.checkpoint_path,
-                      std::ios::binary | std::ios::trunc);
-      f.write(snapshot.data(),
-              static_cast<std::streamsize>(snapshot.size()));
-      f.flush();
-      if (!f) {
-        return Status::IoError("failed to write checkpoint file " +
-                               options.checkpoint_path);
-      }
+      // Write-then-rename: a crash mid-write leaves the previous file.
+      st = bin::ReplaceFile(options.checkpoint_path, [&](std::ostream& out) {
+        out.write(snapshot.data(),
+                  static_cast<std::streamsize>(snapshot.size()));
+        return Status::Ok();
+      });
+      if (!st.ok()) return st;
     }
     pending.FlushTo(sink);
     committed = engine.applied_ops();
@@ -116,14 +114,10 @@ ResilientResult RunResilient(EngineInterface& engine, const QueryGraph& q,
   };
 
   if (!options.restore_from.empty()) {
-    std::ifstream f(options.restore_from, std::ios::binary);
-    std::ostringstream contents;
-    contents << f.rdbuf();
-    if (!f) {
+    if (!bin::ReadFile(options.restore_from, &snapshot).ok()) {
       return finish(false, Status::IoError("cannot read snapshot file " +
                                            options.restore_from));
     }
-    snapshot = contents.str();
     std::istringstream is(snapshot);
     Status st = engine.Restore(is);
     if (!st.ok()) return finish(false, std::move(st));

@@ -134,7 +134,7 @@ class TurboFluxEngine : public EngineInterface {
   /// section of their own; Checkpoint is exactly header +
   /// WriteStateSections(out, true).
   [[nodiscard]] Status WriteStateSections(std::ostream& out,
-                                          bool include_graph) const override;
+                                          bool include_graph) const;
 
   /// Reads back what WriteStateSections wrote and commits it, validating
   /// every section. With `shared_graph == nullptr` the snapshot must
@@ -144,7 +144,7 @@ class TurboFluxEngine : public EngineInterface {
   /// bound to `*shared_graph` (which must already hold the graph state the
   /// snapshot was taken against). On failure the engine is left dead.
   [[nodiscard]] Status ReadStateSections(std::istream& in,
-                                         const Graph* shared_graph) override;
+                                         const Graph* shared_graph);
 
   /// ApplyUpdate with graceful degradation: ops that would corrupt the
   /// engine (out-of-range endpoints) are quarantined and consumed as

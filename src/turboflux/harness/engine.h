@@ -100,9 +100,6 @@ struct QuarantinedOp {
 ///    deadline expiry returns kDeadlineExceeded leaving the engine dead
 ///    *without* consuming the op — Restore() and replay from
 ///    applied_ops().
-///  * Checkpoint is exactly a format header + WriteStateSections(out,
-///    /*include_graph=*/true); multi-engine containers persist the shared
-///    graph once themselves and call WriteStateSections(out, false).
 ///  * A restored engine reproduces the original's subsequent match stream
 ///    byte-for-byte (adjacency and enumeration orders are preserved or
 ///    deterministically rebuilt).
@@ -122,20 +119,6 @@ class EngineInterface : public ContinuousEngine {
   /// state. Corrupted or truncated snapshots yield a non-OK status and
   /// never crash; on failure the engine is left dead.
   [[nodiscard]] virtual Status Restore(std::istream& in) = 0;
-
-  /// Writes only the CRC32-framed state sections (no format header);
-  /// `include_graph=false` omits the data-graph section for containers
-  /// that persist one shared graph themselves.
-  [[nodiscard]] virtual Status WriteStateSections(std::ostream& out,
-                                                  bool include_graph)
-      const = 0;
-
-  /// Reads back what WriteStateSections wrote and commits it, validating
-  /// every section. Engines without a shared-graph mode reject a non-null
-  /// `shared_graph` with kFailedPrecondition.
-  [[nodiscard]] virtual Status ReadStateSections(std::istream& in,
-                                                 const Graph* shared_graph)
-      = 0;
 
   /// Number of stream ops consumed so far (applied + quarantined) — the
   /// journal position persisted by Checkpoint.

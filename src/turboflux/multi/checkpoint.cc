@@ -7,11 +7,10 @@
 //   QREG  the registry: per live query (id, dense runtime index, costs)
 // followed by each live runtime's engine state via
 // TurboFluxEngine::WriteStateSections(include_graph=false), in dense
-// (ascending slot) order. Runtime signatures, the routing index, and the
-// shared-prefix groups are all derivable and recomputed on restore;
-// per-engine section framing and validation is the engine's own.
+// (ascending slot) order. Runtime signatures and the routing index are
+// derivable and recomputed on restore; per-engine section framing and
+// validation is the engine's own.
 
-#include <cstring>
 #include <istream>
 #include <memory>
 #include <ostream>
@@ -27,7 +26,7 @@ namespace multi {
 
 namespace {
 
-constexpr char kMagic[4] = {'T', 'F', 'X', 'Q'};
+constexpr std::string_view kMagic = "TFXQ";
 constexpr uint32_t kFormatVersion = 1;
 
 enum SectionTag : uint32_t {
@@ -50,10 +49,8 @@ Status QuerySet::Checkpoint(std::ostream& out) const {
         "query set is dead; a snapshot would capture partial state");
   }
 
-  out.write(kMagic, sizeof(kMagic));
-  std::string hdr;
-  bin::PutU32(hdr, kFormatVersion);
-  out.write(hdr.data(), static_cast<std::streamsize>(hdr.size()));
+  Status st = bin::WriteHeader(out, kMagic, kFormatVersion);
+  if (!st.ok()) return st;
 
   // Dense runtime numbering: slot order with holes squeezed out.
   std::vector<uint32_t> dense_slots;
@@ -76,7 +73,7 @@ Status QuerySet::Checkpoint(std::ostream& out) const {
   bin::PutU64(meta, deregistrations_);
   bin::PutU32(meta, static_cast<uint32_t>(records_.size()));  // next id
   bin::PutU32(meta, static_cast<uint32_t>(dense_slots.size()));
-  Status st = bin::WriteSection(out, kSectionSetMeta, meta);
+  st = bin::WriteSection(out, kSectionSetMeta, meta);
   if (!st.ok()) return st;
 
   std::string gbuf;
@@ -121,29 +118,10 @@ Status QuerySet::Restore(std::istream& in) {
     return st;
   };
 
-  char magic[sizeof(kMagic)];
-  in.read(magic, sizeof(magic));
-  if (in.gcount() != sizeof(magic) ||
-      std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    return fail(Status::Corruption("bad query-set checkpoint magic"));
-  }
-  char vbytes[4];
-  in.read(vbytes, sizeof(vbytes));
-  if (in.gcount() != sizeof(vbytes)) {
-    return fail(Status::Corruption("truncated query-set checkpoint header"));
-  }
-  uint32_t version = 0;
-  bin::Reader vr(std::string_view(vbytes, sizeof(vbytes)));
-  vr.GetU32(&version);
-  if (version != kFormatVersion) {
-    return fail(Status::UnsupportedVersion(
-        "query-set checkpoint version " + std::to_string(version) +
-        " (this build reads version " + std::to_string(kFormatVersion) +
-        ")"));
-  }
+  Status st = bin::ReadHeader(in, kMagic, kFormatVersion);
+  if (!st.ok()) return fail(st);
 
   std::string meta, gbuf, reg;
-  Status st;
   if (!(st = bin::ReadSection(in, kSectionSetMeta, &meta)).ok() ||
       !(st = bin::ReadSection(in, kSectionGraph, &gbuf)).ok() ||
       !(st = bin::ReadSection(in, kSectionRegistry, &reg)).ok()) {
@@ -222,11 +200,9 @@ Status QuerySet::Restore(std::istream& in) {
       return fail(st);
     }
     // The engine now owns its restored query; re-derive the bookkeeping
-    // the snapshot elides (signatures, routing keys, prefix groups).
+    // the snapshot elides (the signature and the routing keys).
     rt->query = std::make_unique<QueryGraph>(rt->engine->query());
     rt->signature = QuerySignature(*rt->query);
-    rt->prefix_sig = TreePrefixSignature(rt->engine->tree(), *rt->query,
-                                         options_.prefix_depth);
     uint32_t slot = AllocSlot();
     if (slot != dense) {
       return fail(Status::Corruption("non-dense runtime restore"));

@@ -84,35 +84,6 @@ std::string QuerySignature(const QueryGraph& q) {
   return s;
 }
 
-std::string TreePrefixSignature(const QueryTree& tree, const QueryGraph& q,
-                                size_t max_depth) {
-  // BFS order visits parents before children, so one forward pass
-  // computes depths; the prefix is the order-preserved sub-sequence of
-  // vertices within `max_depth` of the root (their parents are always in
-  // the prefix too — depth is monotone along tree paths).
-  const std::vector<QVertexId>& bfs = tree.BfsOrder();
-  std::vector<uint32_t> depth(q.VertexCount(), 0);
-  std::vector<uint32_t> prefix_pos(q.VertexCount(), 0);
-  std::string s;
-  uint32_t included = 0;
-  for (QVertexId u : bfs) {
-    if (!tree.IsRoot(u)) depth[u] = depth[tree.Parent(u)] + 1;
-    if (depth[u] > max_depth) continue;
-    prefix_pos[u] = included++;
-    bin::PutU32(s, depth[u]);
-    if (!tree.IsRoot(u)) {
-      const QueryTree::ParentEdge& pe = tree.parent_edge(u);
-      bin::PutU32(s, prefix_pos[pe.parent]);
-      bin::PutU32(s, pe.label);
-      bin::PutU8(s, pe.forward ? 1 : 0);
-    }
-    const std::vector<Label>& ls = q.labels(u).labels();
-    bin::PutU32(s, static_cast<uint32_t>(ls.size()));
-    for (Label l : ls) bin::PutU32(s, l);
-  }
-  return s;
-}
-
 QuerySet::QuerySet(QuerySetOptions options) : options_(Sanitize(options)) {}
 
 QuerySet::~QuerySet() = default;
@@ -122,7 +93,6 @@ void QuerySet::ResetStateLocked() {
   free_slots_.clear();
   records_.clear();
   by_signature_.clear();
-  prefix_groups_.clear();
   routing_ = RoutingIndex();
   applied_ops_ = 0;
   ops_evaluated_ = 0;
@@ -156,18 +126,12 @@ void QuerySet::IndexRuntime(uint32_t slot) {
   Runtime& rt = *runtimes_[slot];
   routing_.Add(slot, *rt.query);
   by_signature_[rt.signature] = slot;
-  prefix_groups_[rt.prefix_sig].push_back(slot);
 }
 
 void QuerySet::DropRuntime(uint32_t slot) {
   Runtime& rt = *runtimes_[slot];
   routing_.Remove(slot, *rt.query);
   by_signature_.erase(rt.signature);
-  auto git = prefix_groups_.find(rt.prefix_sig);
-  if (git != prefix_groups_.end()) {
-    std::erase(git->second, slot);
-    if (git->second.empty()) prefix_groups_.erase(git);
-  }
   runtimes_[slot].reset();
   free_slots_.push_back(slot);
 }
@@ -223,9 +187,6 @@ Status QuerySet::Register(const QueryGraph& q, Sink& sink, Deadline deadline,
     return Status::DeadlineExceeded("registration bootstrap abandoned");
   }
   rt->signature = std::move(sig);
-  rt->prefix_sig =
-      TreePrefixSignature(rt->engine->tree(), *rt->query,
-                          options_.prefix_depth);
   rt->members.push_back(new_id);
 
   uint32_t slot = AllocSlot();
@@ -449,15 +410,6 @@ uint64_t QuerySet::ConsultedEvals() const {
   return consulted_evals_;
 }
 
-std::pair<size_t, size_t> QuerySet::PrefixGroupShape() const {
-  MutexLock lock(mu_);
-  size_t largest = 0;
-  for (const auto& [sig, slots] : prefix_groups_) {
-    largest = std::max(largest, slots.size());
-  }
-  return {prefix_groups_.size(), largest};
-}
-
 void QuerySet::AppendStats(obs::StatsSnapshot& out) const {
   MutexLock lock(mu_);
   out.AddCounter("queryset.ops", applied_ops_);
@@ -476,12 +428,6 @@ void QuerySet::AppendStats(obs::StatsSnapshot& out) const {
   for (const std::unique_ptr<Runtime>& rt : runtimes_) rts += rt ? 1 : 0;
   out.AddCounter("queryset.queries_live", live);
   out.AddCounter("queryset.runtimes_live", rts);
-  size_t largest_group = 0;
-  for (const auto& [sig, slots] : prefix_groups_) {
-    largest_group = std::max(largest_group, slots.size());
-  }
-  out.AddCounter("queryset.prefix_groups", prefix_groups_.size());
-  out.AddCounter("queryset.prefix_group_max", largest_group);
 
   // Per-query attribution, live queries only, then each runtime's engine
   // counters under its lowest (first-registered) live member.

@@ -3,7 +3,6 @@
 
 #include <cstdint>
 #include <iosfwd>
-#include <map>
 #include <memory>
 #include <span>
 #include <string>
@@ -22,7 +21,6 @@
 #include "turboflux/obs/stats.h"
 #include "turboflux/parallel/thread_pool.h"
 #include "turboflux/query/query_graph.h"
-#include "turboflux/query/query_tree.h"
 
 namespace turboflux {
 namespace multi {
@@ -40,14 +38,6 @@ using QueryId = uint32_t;
 /// missed sharing opportunity, never a correctness issue.
 std::string QuerySignature(const QueryGraph& q);
 
-/// Signature of the spanning tree's top `max_depth` BFS levels (labels,
-/// edge labels, directions, shape). Queries in the same prefix group share
-/// their initial DCG transition work pattern; the QuerySet uses the groups
-/// for shared-prefix bookkeeping and stats (DESIGN.md §3.10), and they are
-/// the hook for future cross-query DCG-prefix sharing.
-std::string TreePrefixSignature(const QueryTree& tree, const QueryGraph& q,
-                                size_t max_depth);
-
 struct QuerySetOptions {
   /// Per-runtime engine options. The QuerySet parallelizes *across*
   /// queries, never inside one.
@@ -63,10 +53,6 @@ struct QuerySetOptions {
   /// instead of a full bootstrap, and every update is evaluated once per
   /// *distinct* query instead of once per registered query.
   bool share_identical = true;
-
-  /// BFS depth of the spanning-tree prefix used for shared-prefix
-  /// grouping.
-  size_t prefix_depth = 2;
 };
 
 /// The multi-query serving layer (DESIGN.md §3.10): N standing queries
@@ -162,7 +148,7 @@ class QuerySet {
 
   /// Rebuilds the set from a Checkpoint snapshot, replacing all current
   /// state; every runtime is re-bound to the restored shared graph and
-  /// the routing index and signature/prefix maps are recomputed. On
+  /// the routing index and signature map are recomputed. On
   /// success applied_ops() is the snapshot's stream position. On failure
   /// the set is left dead.
   [[nodiscard]] Status Restore(std::istream& in) EXCLUDES(mu_);
@@ -194,10 +180,6 @@ class QuerySet {
   /// lowest live member id) to `out`.
   void AppendStats(obs::StatsSnapshot& out) const EXCLUDES(mu_);
 
-  /// Number of shared-prefix groups and the size of the largest one —
-  /// cheap observability for generated-workload sanity checks.
-  std::pair<size_t, size_t> PrefixGroupShape() const EXCLUDES(mu_);
-
  private:
   /// One engine serving every registered query with an identical
   /// signature.
@@ -206,7 +188,6 @@ class QuerySet {
     std::unique_ptr<TurboFluxEngine> engine;
     std::vector<QueryId> members;  // live member ids, ascending
     std::string signature;
-    std::string prefix_sig;
   };
 
   struct QueryRecord {
@@ -236,9 +217,6 @@ class QuerySet {
   std::vector<QueryRecord> records_ GUARDED_BY(mu_);  // indexed by QueryId
 
   std::unordered_map<std::string, uint32_t> by_signature_ GUARDED_BY(mu_);
-  // Ordered so stats/shape reporting is deterministic.
-  std::map<std::string, std::vector<uint32_t>> prefix_groups_
-      GUARDED_BY(mu_);
   RoutingIndex routing_ GUARDED_BY(mu_);
   std::vector<uint32_t> route_scratch_ GUARDED_BY(mu_);
 

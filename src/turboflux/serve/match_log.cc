@@ -1,10 +1,5 @@
 #include "turboflux/serve/match_log.h"
 
-#include <filesystem>
-#include <fstream>
-
-#include "turboflux/common/serialize.h"
-
 namespace turboflux {
 namespace serve {
 
@@ -33,37 +28,17 @@ void EncodeMatchesBlock(std::span<const MatchRecord> records,
     bin::PutU32(payload, static_cast<uint32_t>(m.mapping.size()));
     for (VertexId v : m.mapping) bin::PutU32(payload, v);
   }
-  bin::PutU32(out, static_cast<uint32_t>(payload.size()));
-  out += payload;
-  bin::PutU32(out, bin::Crc32(payload));
+  bin::PutRecord(out, payload);
 }
 
 void EncodeCommitBlock(uint64_t through_op, std::string& out) {
   std::string payload;
   bin::PutU8(payload, kBlockCommit);
   bin::PutU64(payload, through_op);
-  bin::PutU32(out, static_cast<uint32_t>(payload.size()));
-  out += payload;
-  bin::PutU32(out, bin::Crc32(payload));
-}
-
-bool ReadAll(const std::string& path, std::string* out, bool* exists) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    *exists = false;
-    return true;
-  }
-  *exists = true;
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  if (in.bad()) return false;
-  *out = std::move(data);
-  return true;
+  bin::PutRecord(out, payload);
 }
 
 }  // namespace
-
-MatchLog::~MatchLog() { Close(); }
 
 Status MatchLog::Load(const std::string& path,
                       std::vector<MatchRecord>* records, uint64_t* watermark,
@@ -72,29 +47,17 @@ Status MatchLog::Load(const std::string& path,
   *watermark = 0;
   *valid_bytes = 0;
   std::string data;
-  bool exists = false;
-  if (!ReadAll(path, &data, &exists)) {
-    return Status::IoError("cannot read match log: " + path);
-  }
-  if (!exists) return Status::Ok();
+  Status st = bin::ReadFile(path, &data);
+  if (st.code() == StatusCode::kNotFound) return Status::Ok();
+  if (!st.ok()) return st;
 
   // Records seen since the last commit marker; discarded unless a
   // complete COMMIT block follows them.
   std::vector<MatchRecord> uncommitted;
   size_t pos = 0;
   size_t committed_records = 0;
-  while (pos < data.size()) {
-    if (data.size() - pos < 4) break;
-    bin::Reader len_reader(std::string_view(data).substr(pos, 4));
-    uint32_t len = 0;
-    (void)len_reader.GetU32(&len);
-    if (len > kMaxBlockBytes || data.size() - pos - 4 < len + 4u) break;
-    std::string_view payload = std::string_view(data).substr(pos + 4, len);
-    bin::Reader crc_reader(std::string_view(data).substr(pos + 4 + len, 4));
-    uint32_t crc = 0;
-    (void)crc_reader.GetU32(&crc);
-    if (crc != bin::Crc32(payload)) break;
-
+  std::string_view payload;
+  while (bin::NextRecord(data, &pos, kMaxBlockBytes, &payload)) {
     bin::Reader r(payload);
     uint8_t kind = 0;
     if (!r.GetU8(&kind)) break;
@@ -129,38 +92,22 @@ Status MatchLog::Load(const std::string& path,
       uncommitted.clear();
       committed_records = records->size();
       *watermark = through;
-      *valid_bytes = pos + 4 + len + 4;
+      *valid_bytes = pos;
     } else {
       break;
     }
-    pos += 4 + len + 4;
   }
   records->resize(committed_records);
   return Status::Ok();
 }
 
 Status MatchLog::Open(const std::string& path, uint64_t valid_bytes) {
-  Close();
-  std::error_code ec;
-  if (std::filesystem::exists(path, ec)) {
-    uint64_t size = std::filesystem::file_size(path, ec);
-    if (!ec && size > valid_bytes) {
-      std::filesystem::resize_file(path, valid_bytes, ec);
-      if (ec) {
-        return Status::IoError("cannot truncate match log tail: " + path);
-      }
-    }
-  }
-  file_ = std::fopen(path.c_str(), "ab");
-  if (file_ == nullptr) {
-    return Status::IoError("cannot open match log for append: " + path);
-  }
-  return Status::Ok();
+  return file_.Open(path, valid_bytes);
 }
 
 Status MatchLog::AppendCommit(std::span<const MatchRecord> records,
                               uint64_t through_op, FaultInjector* injector) {
-  if (file_ == nullptr) {
+  if (!file_.is_open()) {
     return Status::FailedPrecondition("match log is not open");
   }
   for (const MatchRecord& m : records) {
@@ -195,21 +142,11 @@ Status MatchLog::AppendCommit(std::span<const MatchRecord> records,
     // before it) so the commit is incomplete but bytes did land.
     write_len = before_commit + (block.size() - before_commit) / 2;
   }
-  if (std::fwrite(block.data(), 1, write_len, file_) != write_len) {
-    return Status::IoError("match log append failed");
-  }
-  if (std::fflush(file_) != 0) {
-    return Status::IoError("match log flush failed");
-  }
+  Status st = file_.Append(std::string_view(block).substr(0, write_len));
+  if (st.ok()) st = file_.Flush();
+  if (!st.ok()) return st;
   if (torn) return Status::IoError("injected torn match-log commit");
   return Status::Ok();
-}
-
-void MatchLog::Close() {
-  if (file_ != nullptr) {
-    (void)std::fclose(file_);
-    file_ = nullptr;
-  }
 }
 
 std::string MatchLog::CanonicalMatchStream(

@@ -2,12 +2,12 @@
 #define TURBOFLUX_SERVE_MATCH_LOG_H_
 
 #include <cstdint>
-#include <cstdio>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "turboflux/common/match.h"
+#include "turboflux/common/serialize.h"
 #include "turboflux/common/status.h"
 #include "turboflux/harness/fault_injection.h"
 
@@ -31,7 +31,7 @@ struct MatchRecord {
 };
 
 // Durable match stream (DESIGN.md §3.12). An append-only file of
-// CRC-framed blocks:
+// CRC-framed blocks (bin::PutRecord):
 //
 //   u32 payload_len | payload | u32 crc32(payload)
 //   payload := u8 kind (0 = matches, 1 = commit)
@@ -50,9 +50,6 @@ struct MatchRecord {
 class MatchLog {
  public:
   MatchLog() = default;
-  ~MatchLog();
-  MatchLog(const MatchLog&) = delete;
-  MatchLog& operator=(const MatchLog&) = delete;
 
   /// Parses `path` (missing = empty). Returns the records covered by
   /// complete commits, the watermark W (= last commit's through_op; 0 if
@@ -73,7 +70,7 @@ class MatchLog {
                                     uint64_t through_op,
                                     FaultInjector* injector);
 
-  void Close();
+  void Close() { file_.Close(); }
 
   /// Canonical byte serialization of a match stream, independent of how
   /// the records were grouped into commit blocks — the chaos suite
@@ -82,7 +79,7 @@ class MatchLog {
       std::span<const MatchRecord> records);
 
  private:
-  std::FILE* file_ = nullptr;
+  bin::AppendFile file_;
 };
 
 }  // namespace serve

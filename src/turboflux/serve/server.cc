@@ -4,9 +4,9 @@
 #include <chrono>
 #include <filesystem>
 #include <fstream>
-#include <sstream>
 
 #include "turboflux/common/deadline.h"
+#include "turboflux/common/serialize.h"
 #include "turboflux/obs/stats.h"
 
 namespace turboflux {
@@ -351,31 +351,20 @@ Status Server::Commit() {
     Die("match log commit: " + s.message());
     return s;
   }
-  // 2. Snapshot to a temp file, then atomic rename (S advances).
-  std::string tmp = SnapshotPath() + ".tmp";
-  {
-    std::ofstream out(tmp, std::ios::binary | std::ios::trunc);
-    if (!out) {
-      Die("cannot open snapshot temp file");
-      return Status::IoError("cannot open snapshot temp file: " + tmp);
+  // 2. Snapshot to a temp file, then atomic rename (S advances). An
+  // injected death before the rename fails the writer, so the rename is
+  // skipped and the previous snapshot stays in place.
+  s = bin::ReplaceFile(SnapshotPath(), [this](std::ostream& out) {
+    Status st = set_.Checkpoint(out);
+    if (st.ok() && options_.injector != nullptr &&
+        options_.injector->ShouldDieBeforeSnapshotRename()) {
+      return Status::IoError("injected death before snapshot rename");
     }
-    s = set_.Checkpoint(out);
-    out.flush();
-    if (!s.ok() || !out) {
-      Die("snapshot write failed");
-      return s.ok() ? Status::IoError("snapshot write failed") : s;
-    }
-  }
-  if (options_.injector != nullptr &&
-      options_.injector->ShouldDieBeforeSnapshotRename()) {
-    Die("injected death before snapshot rename");
-    return Status::IoError("injected death before snapshot rename");
-  }
-  std::error_code ec;
-  std::filesystem::rename(tmp, SnapshotPath(), ec);
-  if (ec) {
-    Die("snapshot rename failed");
-    return Status::IoError("snapshot rename failed: " + ec.message());
+    return st;
+  });
+  if (!s.ok()) {
+    Die("snapshot: " + s.message());
+    return s;
   }
   if (options_.injector != nullptr &&
       options_.injector->ShouldDieAfterSnapshotRename()) {

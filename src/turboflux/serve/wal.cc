@@ -1,32 +1,14 @@
 #include "turboflux/serve/wal.h"
 
-#include <filesystem>
-#include <fstream>
-
-#include "turboflux/common/serialize.h"
-
 namespace turboflux {
 namespace serve {
 
 namespace {
 
-bool ReadAll(const std::string& path, std::string* out, bool* exists) {
-  std::ifstream in(path, std::ios::binary);
-  if (!in) {
-    *exists = false;
-    return true;
-  }
-  *exists = true;
-  std::string data((std::istreambuf_iterator<char>(in)),
-                   std::istreambuf_iterator<char>());
-  if (in.bad()) return false;
-  *out = std::move(data);
-  return true;
-}
+// A journal record is 29 bytes; anything larger is a torn or foreign tail.
+constexpr uint32_t kMaxRecordBytes = 1u << 16;
 
 }  // namespace
-
-OpJournal::~OpJournal() { Close(); }
 
 void OpJournal::EncodeRecord(const PendingOp& record, std::string& out) {
   std::string payload;
@@ -36,9 +18,7 @@ void OpJournal::EncodeRecord(const PendingOp& record, std::string& out) {
   bin::PutU32(payload, record.op.from);
   bin::PutU32(payload, record.op.label);
   bin::PutU32(payload, record.op.to);
-  bin::PutU32(out, static_cast<uint32_t>(payload.size()));
-  out += payload;
-  bin::PutU32(out, bin::Crc32(payload));
+  bin::PutRecord(out, payload);
 }
 
 Status OpJournal::Load(const std::string& path,
@@ -47,27 +27,15 @@ Status OpJournal::Load(const std::string& path,
   records->clear();
   *valid_bytes = 0;
   std::string data;
-  bool exists = false;
-  if (!ReadAll(path, &data, &exists)) {
-    return Status::IoError("cannot read journal: " + path);
-  }
-  if (!exists) return Status::Ok();
+  Status st = bin::ReadFile(path, &data);
+  if (st.code() == StatusCode::kNotFound) return Status::Ok();
+  if (!st.ok()) return st;
 
+  // Anything short of a complete, checksum-valid record is a torn tail:
+  // stop, report the prefix, and let Open() truncate.
   size_t pos = 0;
-  while (pos < data.size()) {
-    // Anything short of a complete, checksum-valid record is a torn
-    // tail: stop, report the prefix, and let Open() truncate.
-    if (data.size() - pos < 4) break;
-    bin::Reader len_reader(std::string_view(data).substr(pos, 4));
-    uint32_t len = 0;
-    (void)len_reader.GetU32(&len);
-    if (len > (1u << 16) || data.size() - pos - 4 < len + 4u) break;
-    std::string_view payload = std::string_view(data).substr(pos + 4, len);
-    bin::Reader crc_reader(std::string_view(data).substr(pos + 4 + len, 4));
-    uint32_t crc = 0;
-    (void)crc_reader.GetU32(&crc);
-    if (crc != bin::Crc32(payload)) break;
-
+  std::string_view payload;
+  while (bin::NextRecord(data, &pos, kMaxRecordBytes, &payload)) {
     bin::Reader r(payload);
     PendingOp rec;
     uint8_t type = 0;
@@ -78,71 +46,38 @@ Status OpJournal::Load(const std::string& path,
     }
     rec.op.type = static_cast<UpdateOp::Type>(type);
     records->push_back(rec);
-    pos += 4 + len + 4;
+    *valid_bytes = pos;
   }
-  *valid_bytes = pos;
   return Status::Ok();
 }
 
 Status OpJournal::Open(const std::string& path, uint64_t valid_bytes,
                        uint64_t record_count) {
-  Close();
-  std::error_code ec;
-  if (std::filesystem::exists(path, ec)) {
-    uint64_t size = std::filesystem::file_size(path, ec);
-    if (!ec && size > valid_bytes) {
-      std::filesystem::resize_file(path, valid_bytes, ec);
-      if (ec) {
-        return Status::IoError("cannot truncate torn journal tail: " + path);
-      }
-    }
-  }
-  file_ = std::fopen(path.c_str(), "ab");
-  if (file_ == nullptr) {
-    return Status::IoError("cannot open journal for append: " + path);
-  }
+  Status st = file_.Open(path, valid_bytes);
+  if (!st.ok()) return st;
   record_count_ = record_count;
   return Status::Ok();
 }
 
 Status OpJournal::Append(const PendingOp& record, FaultInjector* injector) {
-  if (file_ == nullptr) {
-    return Status::FailedPrecondition("journal is not open");
-  }
   std::string encoded;
   EncodeRecord(record, encoded);
-  size_t write_len = encoded.size();
-  bool torn = injector != nullptr && injector->ShouldTearWalRecord();
-  if (torn) write_len = encoded.size() / 2;
-  if (std::fwrite(encoded.data(), 1, write_len, file_) != write_len) {
-    return Status::IoError("journal append failed");
-  }
+  std::string_view bytes = encoded;
+  const bool torn = injector != nullptr && injector->ShouldTearWalRecord();
+  if (torn) bytes = bytes.substr(0, encoded.size() / 2);
+  Status st = file_.Append(bytes);
+  if (!st.ok()) return st;
   if (torn) {
     // Make the torn bytes visible to the next recovery, like a real
     // crash after a partial page write.
-    (void)std::fflush(file_);
+    (void)file_.Flush();
     return Status::IoError("injected torn journal write");
   }
   ++record_count_;
   return Status::Ok();
 }
 
-Status OpJournal::Flush() {
-  if (file_ == nullptr) {
-    return Status::FailedPrecondition("journal is not open");
-  }
-  if (std::fflush(file_) != 0) {
-    return Status::IoError("journal flush failed");
-  }
-  return Status::Ok();
-}
-
-void OpJournal::Close() {
-  if (file_ != nullptr) {
-    (void)std::fclose(file_);
-    file_ = nullptr;
-  }
-}
+Status OpJournal::Flush() { return file_.Flush(); }
 
 }  // namespace serve
 }  // namespace turboflux

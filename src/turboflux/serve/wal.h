@@ -2,10 +2,10 @@
 #define TURBOFLUX_SERVE_WAL_H_
 
 #include <cstdint>
-#include <cstdio>
 #include <string>
 #include <vector>
 
+#include "turboflux/common/serialize.h"
 #include "turboflux/common/status.h"
 #include "turboflux/harness/fault_injection.h"
 #include "turboflux/serve/admission.h"
@@ -15,7 +15,8 @@ namespace serve {
 
 // Operation journal (WAL) of the ingestion service (DESIGN.md §3.12).
 //
-// An append-only file of CRC-framed records, one per admitted update op:
+// An append-only file of CRC-framed records (bin::PutRecord), one per
+// admitted update op:
 //
 //   u32 payload_len | payload | u32 crc32(payload)
 //   payload := u64 channel, u64 seq, u8 type, u32 from, u32 label, u32 to
@@ -34,9 +35,6 @@ namespace serve {
 class OpJournal {
  public:
   OpJournal() = default;
-  ~OpJournal();
-  OpJournal(const OpJournal&) = delete;
-  OpJournal& operator=(const OpJournal&) = delete;
 
   /// Parses `path` (missing file = zero records), tolerating a torn tail.
   /// *valid_bytes is the offset of the valid prefix — the caller (or
@@ -63,7 +61,7 @@ class OpJournal {
   /// Flushes appended records to the OS. Acks may be sent after this.
   [[nodiscard]] Status Flush();
 
-  void Close();
+  void Close() { file_.Close(); }
 
   /// Total records durable in the journal == the next op index.
   uint64_t record_count() const { return record_count_; }
@@ -71,7 +69,7 @@ class OpJournal {
   static void EncodeRecord(const PendingOp& record, std::string& out);
 
  private:
-  std::FILE* file_ = nullptr;
+  bin::AppendFile file_;
   uint64_t record_count_ = 0;
 };
 

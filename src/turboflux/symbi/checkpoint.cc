@@ -11,7 +11,6 @@
 // Graph::Serialize) plus the DAG order, so a restored engine reproduces the
 // original's subsequent match stream byte-for-byte.
 
-#include <cstring>
 #include <istream>
 #include <memory>
 #include <ostream>
@@ -29,7 +28,7 @@ namespace symbi {
 
 namespace {
 
-constexpr char kMagic[4] = {'T', 'F', 'X', 'S'};
+constexpr std::string_view kMagic = "TFXS";
 constexpr uint32_t kFormatVersion = 1;
 
 // Section tags (arbitrary distinct constants), in write order.
@@ -54,37 +53,15 @@ Status SymBiEngine::Checkpoint(std::ostream& out) const {
   Stopwatch watch;
   const std::streampos start_pos = out.tellp();
 
-  out.write(kMagic, sizeof(kMagic));
-  std::string hdr;
-  bin::PutU32(hdr, kFormatVersion);
-  out.write(hdr.data(), static_cast<std::streamsize>(hdr.size()));
-
-  Status st = WriteStateSections(out, /*include_graph=*/true);
-  if (!st.ok()) return st;
-
-  out.flush();
-  if (!out) return Status::IoError("checkpoint stream write failed");
-  stats_.checkpoints.Inc();
-  stats_.checkpoint_seconds.RecordSeconds(watch.ElapsedSeconds());
-  if (const std::streampos end_pos = out.tellp();
-      start_pos != std::streampos(-1) && end_pos != std::streampos(-1)) {
-    stats_.checkpoint_bytes.Inc(static_cast<uint64_t>(end_pos - start_pos));
-  }
-  return Status::Ok();
-}
-
-Status SymBiEngine::WriteStateSections(std::ostream& out,
-                                       bool include_graph) const {
-  if (q_ == nullptr) {
-    return Status::FailedPrecondition("WriteStateSections before Init");
-  }
   const QueryGraph& q = *q_;
+  Status st = bin::WriteHeader(out, kMagic, kFormatVersion);
+  if (!st.ok()) return st;
 
   std::string meta;
   bin::PutU64(meta, applied_ops_);
   bin::PutU8(meta,
              options_.semantics == MatchSemantics::kIsomorphism ? 1 : 0);
-  Status st = bin::WriteSection(out, kSectionMeta, meta);
+  st = bin::WriteSection(out, kSectionMeta, meta);
   if (!st.ok()) return st;
 
   std::string qbuf;
@@ -102,18 +79,24 @@ Status SymBiEngine::WriteStateSections(std::ostream& out,
   st = bin::WriteSection(out, kSectionDag, dagbuf);
   if (!st.ok()) return st;
 
-  if (include_graph) {
-    std::string gbuf;
-    g_.Serialize(gbuf);
-    st = bin::WriteSection(out, kSectionGraph, gbuf);
-    if (!st.ok()) return st;
-  }
+  std::string gbuf;
+  g_.Serialize(gbuf);
+  st = bin::WriteSection(out, kSectionGraph, gbuf);
+  if (!st.ok()) return st;
 
   std::string dbuf;
   dcs_.SerializeFlags(dbuf);
   st = bin::WriteSection(out, kSectionDcs, dbuf);
   if (!st.ok()) return st;
-  if (!out) return Status::IoError("state section stream write failed");
+
+  out.flush();
+  if (!out) return Status::IoError("checkpoint stream write failed");
+  stats_.checkpoints.Inc();
+  stats_.checkpoint_seconds.RecordSeconds(watch.ElapsedSeconds());
+  if (const std::streampos end_pos = out.tellp();
+      start_pos != std::streampos(-1) && end_pos != std::streampos(-1)) {
+    stats_.checkpoint_bytes.Inc(static_cast<uint64_t>(end_pos - start_pos));
+  }
   return Status::Ok();
 }
 
@@ -121,44 +104,6 @@ Status SymBiEngine::Restore(std::istream& in) {
   Stopwatch watch;
   const std::streampos start_pos = in.tellg();
 
-  char magic[sizeof(kMagic)];
-  in.read(magic, sizeof(magic));
-  if (in.gcount() != sizeof(magic) ||
-      std::memcmp(magic, kMagic, sizeof(kMagic)) != 0) {
-    dead_ = true;
-    return Status::Corruption("bad checkpoint magic");
-  }
-  char vbytes[4];
-  in.read(vbytes, sizeof(vbytes));
-  if (in.gcount() != sizeof(vbytes)) {
-    dead_ = true;
-    return Status::Corruption("truncated checkpoint header");
-  }
-  uint32_t version = 0;
-  bin::Reader vr(std::string_view(vbytes, sizeof(vbytes)));
-  vr.GetU32(&version);
-  if (version != kFormatVersion) {
-    dead_ = true;
-    return Status::UnsupportedVersion(
-        "checkpoint format version " + std::to_string(version) +
-        " (this build reads version " + std::to_string(kFormatVersion) +
-        ")");
-  }
-
-  Status st = ReadStateSections(in, /*shared_graph=*/nullptr);
-  if (!st.ok()) return st;  // ReadStateSections left the engine dead
-
-  stats_.restores.Inc();
-  stats_.restore_seconds.RecordSeconds(watch.ElapsedSeconds());
-  if (const std::streampos end_pos = in.tellg();
-      start_pos != std::streampos(-1) && end_pos != std::streampos(-1)) {
-    stats_.restore_bytes.Inc(static_cast<uint64_t>(end_pos - start_pos));
-  }
-  return Status::Ok();
-}
-
-Status SymBiEngine::ReadStateSections(std::istream& in,
-                                      const Graph* shared_graph) {
   // Any failure past this point may leave partially-overwritten state, so
   // the engine is marked dead — the caller either retries with an intact
   // snapshot or discards the engine.
@@ -167,13 +112,10 @@ Status SymBiEngine::ReadStateSections(std::istream& in,
     return st;
   };
 
-  if (shared_graph != nullptr) {
-    return fail(Status::FailedPrecondition(
-        "the SymBi engine has no shared-graph mode"));
-  }
+  Status st = bin::ReadHeader(in, kMagic, kFormatVersion);
+  if (!st.ok()) return fail(st);
 
   std::string meta, qbuf, dagbuf, gbuf, dbuf;
-  Status st;
   if (!(st = bin::ReadSection(in, kSectionMeta, &meta)).ok() ||
       !(st = bin::ReadSection(in, kSectionQuery, &qbuf)).ok() ||
       !(st = bin::ReadSection(in, kSectionDag, &dagbuf)).ok() ||
@@ -270,6 +212,13 @@ Status SymBiEngine::ReadStateSections(std::istream& in,
   stats_.intermediate_size.Set(dcs_.D1Count());
   stats_.peak_intermediate.SetMax(dcs_.D1Count());
   NotePeakIntermediate();
+
+  stats_.restores.Inc();
+  stats_.restore_seconds.RecordSeconds(watch.ElapsedSeconds());
+  if (const std::streampos end_pos = in.tellg();
+      start_pos != std::streampos(-1) && end_pos != std::streampos(-1)) {
+    stats_.restore_bytes.Inc(static_cast<uint64_t>(end_pos - start_pos));
+  }
   return Status::Ok();
 }
 

@@ -86,12 +86,6 @@ class SymBiEngine : public EngineInterface {
   /// check on top of the per-section CRCs).
   [[nodiscard]] Status Checkpoint(std::ostream& out) const override;
   [[nodiscard]] Status Restore(std::istream& in) override;
-  [[nodiscard]] Status WriteStateSections(std::ostream& out,
-                                          bool include_graph) const override;
-  /// SymBi has no shared-graph mode: a non-null `shared_graph` is rejected
-  /// with kFailedPrecondition.
-  [[nodiscard]] Status ReadStateSections(std::istream& in,
-                                         const Graph* shared_graph) override;
 
   uint64_t applied_ops() const override { return applied_ops_; }
   bool dead() const override { return dead_; }

@@ -4,7 +4,6 @@
 #include <thread>
 
 #include "gtest/gtest.h"
-#include "turboflux/serve/pause_detector.h"
 
 namespace turboflux {
 namespace {
@@ -80,76 +79,6 @@ TEST(Deadline, CopyChecksClockImmediately) {
   // progress before the amortized check fires.)
   Deadline fresh = Deadline::AfterMillis(0);
   EXPECT_FALSE(fresh.Expired());
-}
-
-// --- Wall-clock pause compensation (DESIGN.md §3.12) -----------------
-// steady_clock keeps ticking through SIGSTOP / container freezes; the
-// regression here is a long-suspended server mass-expiring every
-// in-flight deadline the moment it resumes. Pause credit is global and
-// monotone, but each deadline snapshots it at creation — so credit only
-// extends deadlines that were alive when the pause was reported.
-
-TEST(DeadlinePause, CreditExtendsInFlightDeadline) {
-  Deadline d = Deadline::AfterMillis(30);
-  // The process "was frozen" for 10 s while d was in flight.
-  Deadline::NotePause(std::chrono::seconds(10));
-  std::this_thread::sleep_for(std::chrono::milliseconds(60));
-  // Without the credit this would be 30 ms past expiry.
-  EXPECT_FALSE(d.ExpiredNow());
-  EXPECT_GT(d.Remaining(), std::chrono::milliseconds(1000));
-}
-
-TEST(DeadlinePause, CreditBeforeCreationDoesNotExtend) {
-  Deadline::NotePause(std::chrono::seconds(10));
-  Deadline d = Deadline::AfterMillis(20);
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_TRUE(d.ExpiredNow());
-}
-
-TEST(DeadlinePause, StillExpiresOnceCreditIsSpent) {
-  Deadline d = Deadline::AfterMillis(20);
-  Deadline::NotePause(std::chrono::milliseconds(30));
-  // 20 ms budget + 30 ms credit < 100 ms of real time: credit defers
-  // expiry, it does not disable it.
-  std::this_thread::sleep_for(std::chrono::milliseconds(100));
-  EXPECT_TRUE(d.ExpiredNow());
-}
-
-TEST(DeadlinePause, CopyInheritsTheCreditSnapshot) {
-  // Credit noted before the original existed extends neither it nor a
-  // copy taken later (the copy stands in for the same logical op).
-  Deadline::NotePause(std::chrono::seconds(5));
-  Deadline original = Deadline::AfterMillis(20);
-  Deadline copy = original;
-  std::this_thread::sleep_for(std::chrono::milliseconds(50));
-  EXPECT_TRUE(copy.ExpiredNow());
-
-  // Credit noted while the original was in flight extends a copy taken
-  // afterwards — the snapshot travels with the logical operation.
-  Deadline extended = Deadline::AfterMillis(30);
-  Deadline::NotePause(std::chrono::seconds(10));
-  Deadline extended_copy = extended;
-  std::this_thread::sleep_for(std::chrono::milliseconds(60));
-  EXPECT_FALSE(extended_copy.ExpiredNow());
-}
-
-TEST(DeadlinePause, DetectorHeartbeatReportsOversleeps) {
-  // A zero tolerance threshold turns ordinary scheduler overshoot into
-  // "pauses", which is exactly what the plumbing test needs: heartbeat
-  // overshoot -> NotePause -> global credit grows.
-  int64_t credit_before = Deadline::TotalPauseCreditNanos();
-  {
-    serve::PauseDetector detector(std::chrono::milliseconds(1),
-                                  std::chrono::milliseconds(0));
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(10);
-    while (detector.pauses_detected() == 0 &&
-           std::chrono::steady_clock::now() < deadline) {
-      std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    }
-    EXPECT_GT(detector.pauses_detected(), 0u);
-  }
-  EXPECT_GT(Deadline::TotalPauseCreditNanos(), credit_before);
 }
 
 TEST(Stopwatch, MeasuresElapsedTime) {

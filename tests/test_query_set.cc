@@ -348,20 +348,6 @@ TEST(QuerySet, AppendStatsExportsPerQueryAttribution) {
   EXPECT_GT(snap.Value("queryset.q0.engine.ops_insert"), 0u);
 }
 
-TEST(QuerySet, PrefixGroupShapeTracksGroups) {
-  Fixture f;
-  QuerySet set;
-  set.Bind(f.g0);
-  RecordingSink sink;
-  Deadline inf = Deadline::Infinite();
-  QueryId id = 0;
-  ASSERT_TRUE(set.Register(f.path, sink, inf, &id).ok());
-  ASSERT_TRUE(set.Register(f.single, sink, inf, &id).ok());
-  auto [groups, largest] = set.PrefixGroupShape();
-  EXPECT_GE(groups, 1u);
-  EXPECT_GE(largest, 1u);
-}
-
 TEST(RoutingIndex, WildcardAndLabeledProbesAreSound) {
   // q_path's edges: (label 0, {0} -> {1}) and (label 1, {1} -> {2}).
   Fixture f;

@@ -2,6 +2,7 @@
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <sstream>
 #include <string>
@@ -214,6 +215,63 @@ TEST(Recovery, RestartFromCheckpointFile) {
     ResilientResult r = RunResilient(engine, c.query, c.g0, c.stream, sink, ro);
     EXPECT_FALSE(r.ok);
   }
+  std::remove(path.c_str());
+}
+
+// The checkpoint file is replaced by a rename, never rewritten in place: a
+// hard link to the previous file still reads the previous bytes. An
+// in-place rewrite would change them, and a kill during it would leave a
+// torn snapshot and no intact one to restore from.
+TEST(Recovery, CheckpointFileIsReplacedNotRewritten) {
+  testutil::RandomCase c = testutil::MakeRandomCase(10, {});
+  const std::string path = testing::TempDir() + "tfx_recovery_replace.bin";
+  const std::string previous = path + ".previous";
+  auto read_file = [](const std::string& p) {
+    std::ifstream in(p, std::ios::binary);
+    std::ostringstream os;
+    os << in.rdbuf();
+    return os.str();
+  };
+  std::remove(previous.c_str());
+
+  {
+    // A run over half the stream leaves the previous checkpoint file.
+    TurboFluxEngine engine;
+    ResilientOptions ro;
+    ro.checkpoint_path = path;
+    const UpdateStream half(c.stream.begin(),
+                            c.stream.begin() + c.stream.size() / 2);
+    CollectingSink sink;
+    ResilientResult r = RunResilient(engine, c.query, c.g0, half, sink, ro);
+    ASSERT_TRUE(r.ok) << r.status.ToString();
+  }
+  const std::string old_bytes = read_file(path);
+  ASSERT_FALSE(old_bytes.empty());
+  std::filesystem::create_hard_link(path, previous);
+
+  {
+    TurboFluxEngine engine;
+    ResilientOptions ro;
+    ro.checkpoint_every = 5;
+    ro.checkpoint_path = path;
+    CollectingSink sink;
+    ResilientResult r = RunResilient(engine, c.query, c.g0, c.stream, sink, ro);
+    ASSERT_TRUE(r.ok) << r.status.ToString();
+  }
+  EXPECT_EQ(read_file(previous), old_bytes);
+  EXPECT_NE(read_file(path), old_bytes);
+  EXPECT_FALSE(std::filesystem::exists(path + ".tmp"));
+
+  {
+    TurboFluxEngine engine;
+    ResilientOptions ro;
+    ro.restore_from = path;
+    CollectingSink sink;
+    ResilientResult r = RunResilient(engine, c.query, c.g0, c.stream, sink, ro);
+    ASSERT_TRUE(r.ok) << r.status.ToString();
+    EXPECT_EQ(r.ops_consumed, c.stream.size());
+  }
+  std::remove(previous.c_str());
   std::remove(path.c_str());
 }
 

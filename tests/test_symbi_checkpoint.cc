@@ -169,12 +169,6 @@ TEST(SymBiCheckpoint, RejectsForeignAndMismatchedSnapshots) {
   st = iso.Restore(in);
   EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
 
-  // SymBi has no shared-graph mode: ReadStateSections(shared) is rejected.
-  SymBiEngine other;
-  std::istringstream dummy{std::string()};
-  st = other.ReadStateSections(dummy, &c.g0);
-  EXPECT_EQ(st.code(), StatusCode::kFailedPrecondition);
-
   // Checkpoint before Init is a precondition failure.
   SymBiEngine uninitialized;
   std::ostringstream out;

@@ -46,6 +46,10 @@ namespace serve {
 //                                    milliseconds; queue-depth diagnostics
 //   ERR <code> <message>             protocol or state error
 //   HEALTH <tier> <depth> <cap> <accepted> <committed>
+//                                    accepted = ops journaled (J);
+//                                    committed = match watermark (W): the
+//                                    matches of every op below it are in
+//                                    MATCHES (advances every drained batch)
 //   POS <seq>
 //   STATS <json>
 //   MATCHES <count> {<op_index> <query> +|- <k> <v> x k} x count

@@ -140,6 +140,11 @@ Status Server::Recover(const Graph* g0) {
           "fresh data dir needs an initial graph (g0)");
     }
     set_.Bind(*g0);
+    // No registration is durable before the first snapshot, so the match
+    // log can only hold the report of a set-up whose first snapshot never
+    // finished. Drop it: re-registration reports those matches again.
+    watermark = 0;
+    match_bytes = 0;
   }
   uint64_t snapshot_pos = set_.applied_ops();  // S
   uint64_t journal_len = wal_records.size();   // J
@@ -157,9 +162,6 @@ Status Server::Recover(const Graph* g0) {
   if (watermark > journal_len) {
     return Status::Corruption("match watermark ahead of journal");
   }
-  // A torn match-log tail can leave W < S (commit died between the two
-  // writes)... no: the match log commits BEFORE the snapshot renames, so
-  // W >= S always. W < S means external tampering.
   if (watermark < snapshot_pos) {
     return Status::Corruption(
         "match watermark behind snapshot (W=" + std::to_string(watermark) +
@@ -174,7 +176,7 @@ Status Server::Recover(const Graph* g0) {
 
   // 5. Replay WAL[S, J). Matches from ops below W are regenerated into a
   // NullSink (already durable); from W on they join pending_matches_ and
-  // become durable at the post-recovery commit below.
+  // become durable at Start()'s snapshot.
   NullSink null_sink;
   for (uint64_t i = snapshot_pos; i < journal_len; ++i) {
     uint64_t op_index = set_.applied_ops();
@@ -202,15 +204,13 @@ Status Server::Recover(const Graph* g0) {
   }
   accepted_ops_.store(journal_len, std::memory_order_relaxed);
   committed_ops_.store(watermark, std::memory_order_relaxed);
-  last_commit_us_ = NowMicros();
 
-  // 7. Re-establish S = W = J so the next crash owes no replay for this
-  // prefix. Skipped when already clean (fresh dir or graceful shutdown).
-  if (journal_len > watermark || !pending_matches_.empty() ||
-      snapshot_pos < journal_len) {
-    s = Commit();
-    if (!s.ok()) return s;
-  }
+  // 7. Start() re-establishes S = W = J, so the next crash owes no replay
+  // for this prefix. Nothing to write when already clean (graceful
+  // shutdown), except a fresh dir's first snapshot.
+  ops_since_snapshot_ = journal_len - snapshot_pos;
+  set_changed_ = !have_snapshot;
+  last_snapshot_us_ = NowMicros();
   return Status::Ok();
 }
 
@@ -230,14 +230,17 @@ Status Server::RegisterQuery(const QueryGraph& q, int priority,
     MutexLock lock(state_mu_);
     queries_[*id] = StandingQuery{q, priority, false};
   }
-  // Commit so the registration (snapshot) and its initial-match report
-  // (match log) are both durable before the caller proceeds.
-  return Commit();
+  set_changed_ = true;
+  // Before Start() the registration waits for Start()'s snapshot. After
+  // it, snapshot now, so W never moves past a set the snapshot lacks.
+  return started_ ? Snapshot() : Status::Ok();
 }
 
 void Server::Start() {
+  MutexLock reg_lock(reg_mu_);
   if (started_) return;
   started_ = true;
+  if (SnapshotBehind() && !Snapshot().ok()) return;
   ingest_ = std::thread([this] { IngestLoop(); });
 }
 
@@ -248,12 +251,10 @@ void Server::Shutdown() {
   if (!died_.load(std::memory_order_acquire) &&
       !killed_.load(std::memory_order_acquire)) {
     MutexLock reg_lock(reg_mu_);
-    // Final commit so a later restart owes no replay. Failure here is
-    // not fatal to the data: recovery replays from the last good commit.
-    Status s = Commit();
-    if (!s.ok()) {
-      died_.store(true, std::memory_order_release);
-    }
+    // Final snapshot so a later restart owes no replay. A failure marks
+    // the server died but is not fatal to the data: recovery replays
+    // from the last good snapshot.
+    if (SnapshotBehind()) (void)Snapshot();
     journal_.Close();
     match_log_.Close();
   }
@@ -282,7 +283,7 @@ void Server::Die(const std::string& reason) {
   ack_cv_.NotifyAll();
 }
 
-void Server::ApplyTierActions(Tier t) {
+bool Server::ApplyTierActions(Tier t) {
   // Shed everything below the top priority class on kShed+; restore on
   // return to kNormal. Deregistration drops the query's DCG (memory) and
   // its routing keys (work); re-registration re-bootstraps and re-reports
@@ -308,16 +309,17 @@ void Server::ApplyTierActions(Tier t) {
       }
     }
   }
+  bool changed = false;
   for (multi::QueryId id : to_shed) {
     Status s = set_.Deregister(id);
     if (s.ok()) {
       MutexLock lock(state_mu_);
       queries_[id].shed = true;
       sheds_.fetch_add(1, std::memory_order_relaxed);
+      changed = true;
     }
   }
   for (auto& [old_id, q] : to_restore) {
-    MutexLock reg_lock(reg_mu_);
     TaggingSink sink(set_.applied_ops(), &pending_matches_);
     multi::QueryId new_id = 0;
     Status s = set_.Register(q, sink, Deadline::Infinite(), &new_id);
@@ -327,7 +329,10 @@ void Server::ApplyTierActions(Tier t) {
     queries_.erase(old_id);
     queries_[new_id] = StandingQuery{std::move(q), priority, false};
     shed_restores_.fetch_add(1, std::memory_order_relaxed);
+    changed = true;
   }
+  set_changed_ |= changed;
+  return changed;
 }
 
 Status Server::EvalOp(const PendingOp& op) {
@@ -342,15 +347,25 @@ Status Server::EvalOp(const PendingOp& op) {
   return Status::Ok();
 }
 
-Status Server::Commit() {
+Status Server::CommitMatches(bool marker) {
   uint64_t through = set_.applied_ops();
-  // 1. Match log first (W advances to `through`).
-  Status s =
-      match_log_.AppendCommit(pending_matches_, through, options_.injector);
-  if (!s.ok()) {
-    Die("match log commit: " + s.message());
-    return s;
+  if (marker || !pending_matches_.empty()) {
+    Status s =
+        match_log_.AppendCommit(pending_matches_, through, options_.injector);
+    if (!s.ok()) {
+      Die("match log commit: " + s.message());
+      return s;
+    }
+    pending_matches_.clear();
   }
+  committed_ops_.store(through, std::memory_order_relaxed);
+  return Status::Ok();
+}
+
+Status Server::Snapshot() {
+  // 1. Match log first (W reaches the position the snapshot will hold).
+  Status s = CommitMatches(/*marker=*/true);
+  if (!s.ok()) return s;
   // 2. Snapshot to a temp file, then atomic rename (S advances). An
   // injected death before the rename fails the writer, so the rename is
   // skipped and the previous snapshot stays in place.
@@ -371,15 +386,16 @@ Status Server::Commit() {
     Die("injected death after snapshot rename");
     return Status::IoError("injected death after snapshot rename");
   }
-  pending_matches_.clear();
-  ops_since_commit_ = 0;
-  last_commit_us_ = NowMicros();
-  committed_ops_.store(through, std::memory_order_relaxed);
+  ops_since_snapshot_ = 0;
+  set_changed_ = false;
+  last_snapshot_us_ = NowMicros();
   return Status::Ok();
 }
 
 void Server::IngestLoop() {
   std::vector<PendingOp> batch;
+  const int64_t snapshot_interval_us =
+      int64_t{options_.checkpoint_interval_ms} * 1000;
   while (true) {
     if (killed_.load(std::memory_order_acquire) ||
         died_.load(std::memory_order_acquire)) {
@@ -396,16 +412,18 @@ void Server::IngestLoop() {
         overload_.Observe(queue_.Depth(), queue_.Capacity(), now);
     if (observed != t) {
       PublishTier(observed);
-      ApplyTierActions(observed);
+      MutexLock reg_lock(reg_mu_);
+      // A shed or restore changes the query set: snapshot it before W
+      // moves past it, or recovery would rebuild the old set.
+      if (ApplyTierActions(observed) && !Snapshot().ok()) return;
     }
 
     if (n == 0) {
       if (stopping_.load(std::memory_order_acquire)) break;
       MutexLock reg_lock(reg_mu_);
-      if (ops_since_commit_ > 0 &&
-          now - last_commit_us_ >=
-              int64_t{options_.checkpoint_interval_ms} * 1000) {
-        if (!Commit().ok()) return;
+      if (ops_since_snapshot_ > 0 &&
+          now - last_snapshot_us_ >= snapshot_interval_us) {
+        if (!Snapshot().ok()) return;
       }
       continue;
     }
@@ -439,32 +457,28 @@ void Server::IngestLoop() {
     }
     ack_cv_.NotifyAll();
 
-    // Evaluation + commit policy. An injected force-checkpoint commits
-    // mid-batch, between an op's journal append and its match flush —
-    // exactly the timer race the chaos suite probes.
+    // Evaluation + snapshot cadence. An injected force-checkpoint
+    // snapshots mid-batch, between an op's journal append and its match
+    // commit — exactly the timer race the chaos suite probes.
     for (const PendingOp& op : batch) {
       Status s = EvalOp(op);
       if (!s.ok()) {
         Die("evaluation: " + s.message());
         return;
       }
-      ++ops_since_commit_;
+      ++ops_since_snapshot_;
       bool forced = inj != nullptr && inj->ShouldForceCheckpoint();
-      if (forced || ops_since_commit_ >= options_.checkpoint_every_ops) {
-        if (!Commit().ok()) return;
+      if (forced || ops_since_snapshot_ >= options_.checkpoint_every_ops) {
+        if (!Snapshot().ok()) return;
       }
     }
-    now = NowMicros();
-    if (ops_since_commit_ > 0 &&
-        now - last_commit_us_ >=
-            int64_t{options_.checkpoint_interval_ms} * 1000) {
-      if (!Commit().ok()) return;
-    }
+    // The batch's match commit, or the timed snapshot that includes it.
+    bool timed = ops_since_snapshot_ > 0 &&
+                 NowMicros() - last_snapshot_us_ >= snapshot_interval_us;
+    if (!(timed ? Snapshot() : CommitMatches(/*marker=*/false)).ok()) return;
   }
-
-  // Graceful exit: stopping_ and the queue is drained.
-  MutexLock reg_lock(reg_mu_);
-  (void)Commit();
+  // Graceful exit: stopping_ and the queue is drained. Every batch has
+  // had its match commit; Shutdown() writes the final snapshot.
 }
 
 Response Server::Submit(uint64_t channel, uint64_t seq,

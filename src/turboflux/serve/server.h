@@ -47,11 +47,13 @@ struct ServeOptions {
   /// per-op latency for fewer WAL flushes and commits per op.
   size_t widen_batch_window = 512;
 
-  /// Commit (match-log COMMIT + engine snapshot) at least every this many
-  /// evaluated ops and at least this often in wall time — together they
-  /// bound checkpoint lag, and with it the replay work a restart can owe.
-  uint64_t checkpoint_every_ops = 512;
-  uint32_t checkpoint_interval_ms = 200;
+  /// Snapshot cadence: write the whole-set snapshot once this many ops
+  /// have been evaluated since the last one, or once this much wall time
+  /// has passed with ops evaluated. Matches do not wait for it (they
+  /// commit after every drained batch); the cadence bounds only the WAL
+  /// suffix a restart replays, at roughly the per-op evaluation cost.
+  uint64_t checkpoint_every_ops = 65'536;
+  uint32_t checkpoint_interval_ms = 10'000;
 
   /// Per-connection token-bucket rate limit (ops/sec; 0 disables) used by
   /// ServerHandle and the TCP layer.
@@ -59,7 +61,7 @@ struct ServeOptions {
   double rate_limit_burst = 256;
 
   /// How long the ingest thread waits for work per iteration (also the
-  /// resolution of the checkpoint timer) and how long a producer waits
+  /// resolution of the snapshot timer) and how long a producer waits
   /// for its durability ack before giving up.
   uint32_t drain_wait_ms = 5;
   uint32_t ack_timeout_ms = 10000;
@@ -78,34 +80,44 @@ struct ServeOptions {
 
 /// The tfx_serve ingestion daemon core (DESIGN.md §3.12): a
 /// multi::QuerySet fronted by a bounded admission queue, an op journal
-/// (WAL), and a durable match log, with timer-driven checkpoints and
-/// tiered overload degradation.
+/// (WAL), and a durable match log, with a match commit per drained batch,
+/// cadence-driven snapshots and tiered overload degradation.
 ///
-/// Durability protocol (exactly-once under kill -9):
+/// Durability protocol (exactly-once under kill -9), over three stream
+/// positions: snapshot position S, match watermark W, journal length J.
 ///   * An op is acked only after its WAL record is flushed. Producers
 ///     key ops with (channel, seq); the server acks `OK seq`, answers
 ///     resends below the durable high-water mark with `DUP`, and rejects
 ///     sequence gaps — so any number of retries lands each op once.
 ///   * Matches are buffered in memory, tagged with the 0-based WAL index
-///     of the op that produced them, and become durable at commit:
-///     match-log block + COMMIT marker flushed FIRST, engine snapshot
-///     written and atomically renamed SECOND. The order is load-bearing:
-///     a snapshot ahead of the match log would skip replaying ops whose
-///     matches were never persisted (invariant S <= W <= J for snapshot
-///     position, match watermark, journal length).
+///     of the op that produced them, and become durable at the match
+///     commit after each drained batch: a match-log block + COMMIT marker
+///     is flushed and W advances. A batch without matches writes nothing
+///     and advances W in memory only, because replay regenerates no
+///     records for it.
+///   * The snapshot (S) is written by Start(), after each query-set
+///     change (a RegisterQuery after Start(), a tier shed or restore),
+///     when the checkpoint_every_ops/checkpoint_interval_ms cadence trips,
+///     and by Shutdown(). It runs a match commit with a marker FIRST and
+///     atomically renames the snapshot SECOND, so S <= W <= J holds at
+///     every instant; a set change snapshots before W moves past it.
 ///   * Recovery: restore the snapshot (or bind g0), truncate the WAL's
 ///     torn tail and the match log past its last complete COMMIT, replay
 ///     WAL[S, J) — matches from ops below W are regenerated and
 ///     discarded (already durable), matches at or above W are committed
-///     fresh. Deterministic evaluation makes the regenerated stream
-///     identical, which is what the chaos suite's byte-equality check
-///     pins.
+///     fresh by Start(). Deterministic evaluation makes the regenerated
+///     stream identical, which is what the chaos suite's byte-equality
+///     check pins. Restart time grows with J - S, which the cadence
+///     bounds.
 ///
-/// Known non-atomicity: RegisterQuery's initial-match report commits
-/// durably before the call returns, but a crash *inside* the call can
-/// leave the registration itself unrecorded; the caller must treat a
-/// missing id on restart as "re-register". Stream ops are exactly-once
-/// regardless.
+/// Known non-atomicity: a RegisterQuery after Start() commits its
+/// initial-match report (W) before the snapshot that records the query
+/// (S); a crash between the two leaves the report durable and the
+/// registration lost, and re-registering reports the initial matches
+/// again. Registrations before Start() have no such window: nothing is
+/// durable until Start()'s snapshot, and a data dir without a snapshot
+/// recovers as fresh, discarding any report of a set-up whose first
+/// snapshot never finished. Stream ops are exactly-once regardless.
 class Server {
  public:
   /// Builds a server over `options.data_dir`, running crash recovery if
@@ -121,17 +133,21 @@ class Server {
 
   /// Registers a standing query. Higher `priority` survives longer under
   /// overload shedding (ties shed together). Reports the query's matches
-  /// against the current graph into the durable match stream and commits
-  /// before returning. Only valid while the ingest thread is stopped or
-  /// between its iterations — internally serialized with evaluation.
+  /// against the current graph into the match stream. Before Start() the
+  /// query and its report wait for Start()'s snapshot; after it, both are
+  /// committed (match log, then snapshot) before returning. Internally
+  /// serialized with evaluation.
   [[nodiscard]] Status RegisterQuery(const QueryGraph& q, int priority,
                                      multi::QueryId* id) EXCLUDES(state_mu_);
 
-  /// Starts the ingest thread. Call after initial RegisterQuery calls.
-  void Start();
+  /// Writes the first snapshot (covering every set-up registration and
+  /// the recovery replay, if either is pending), then starts the ingest
+  /// thread. Call after the initial RegisterQuery calls. If the snapshot
+  /// fails the server dies and no thread starts; check died().
+  void Start() EXCLUDES(reg_mu_);
 
   /// Graceful stop: drains the admission queue, evaluates everything,
-  /// runs a final commit, closes files. Idempotent.
+  /// writes a final snapshot, closes files. Idempotent.
   void Shutdown();
 
   /// Chaos stop: abandons queued and in-flight work without committing,
@@ -150,7 +166,8 @@ class Server {
   /// Durable high-water sequence for `channel` (POS).
   Response Pos(uint64_t channel) EXCLUDES(state_mu_);
 
-  /// Overload tier + queue depth + op counters. Served from atomics and
+  /// Overload tier + queue depth + op counters (accepted = J, committed
+  /// = W: matches of every op below it are readable). Served from atomics and
   /// one short queue lock — never waits on evaluation (the < 100 ms
   /// overload guarantee rests on this).
   Response Health();
@@ -187,18 +204,33 @@ class Server {
   void IngestLoop() EXCLUDES(reg_mu_);
   /// Evaluates one admitted op; matches land in pending_matches_.
   Status EvalOp(const PendingOp& op) REQUIRES(reg_mu_);
-  /// The commit described in the class comment. Ingest thread only.
-  Status Commit() REQUIRES(reg_mu_);
+  /// The match commit: appends pending_matches_ and a COMMIT marker
+  /// through the applied ops (always when `marker`, else only if matches
+  /// are pending), then advances W.
+  Status CommitMatches(bool marker) REQUIRES(reg_mu_);
+  /// A match commit with a marker, then the snapshot (S = W).
+  Status Snapshot() REQUIRES(reg_mu_);
+  /// True when the on-disk snapshot lags the set or the stream.
+  bool SnapshotBehind() const REQUIRES(reg_mu_) {
+    return set_changed_ || ops_since_snapshot_ > 0;
+  }
   /// Marks the server dead after an (injected or real) IO fault, as if
   /// the process had been killed at that exact write.
   void Die(const std::string& reason);
-  void PublishTier(Tier t) { tier_.store(static_cast<uint8_t>(t), std::memory_order_relaxed); }
-  /// Applies shed/restore actions on tier change. Ingest thread only.
-  void ApplyTierActions(Tier t) EXCLUDES(reg_mu_, state_mu_);
+  void PublishTier(Tier t) {
+    tier_.store(static_cast<uint8_t>(t), std::memory_order_relaxed);
+  }
+  /// Applies shed/restore actions on tier change; true when the query
+  /// set changed. Ingest thread only.
+  bool ApplyTierActions(Tier t) REQUIRES(reg_mu_) EXCLUDES(state_mu_);
 
   std::string WalPath() const { return options_.data_dir + "/ops.wal"; }
-  std::string MatchLogPath() const { return options_.data_dir + "/matches.log"; }
-  std::string SnapshotPath() const { return options_.data_dir + "/snapshot.tfxq"; }
+  std::string MatchLogPath() const {
+    return options_.data_dir + "/matches.log";
+  }
+  std::string SnapshotPath() const {
+    return options_.data_dir + "/snapshot.tfxq";
+  }
 
   const ServeOptions options_;
 
@@ -210,8 +242,10 @@ class Server {
   MatchLog match_log_ GUARDED_BY(reg_mu_);
   std::vector<MatchRecord> pending_matches_ GUARDED_BY(reg_mu_);
   OverloadController overload_{OverloadConfig{}};
-  int64_t last_commit_us_ GUARDED_BY(reg_mu_) = 0;
-  uint64_t ops_since_commit_ GUARDED_BY(reg_mu_) = 0;
+  int64_t last_snapshot_us_ GUARDED_BY(reg_mu_) = 0;
+  uint64_t ops_since_snapshot_ GUARDED_BY(reg_mu_) = 0;
+  /// The snapshot is missing or lacks a query-set change.
+  bool set_changed_ GUARDED_BY(reg_mu_) = false;
 
   AdmissionQueue queue_;
 
@@ -230,7 +264,7 @@ class Server {
 
   std::atomic<uint8_t> tier_{0};
   std::atomic<uint64_t> accepted_ops_{0};   ///< WAL-durable op count (J)
-  std::atomic<uint64_t> committed_ops_{0};  ///< last commit position (S=W)
+  std::atomic<uint64_t> committed_ops_{0};  ///< match watermark (W)
   std::atomic<bool> stopping_{false};
   std::atomic<bool> killed_{false};
   std::atomic<bool> died_{false};
@@ -238,7 +272,7 @@ class Server {
   std::atomic<uint64_t> shed_restores_{0};
 
   std::thread ingest_;
-  bool started_ = false;
+  bool started_ = false;  ///< written under reg_mu_ by Start()
 };
 
 /// In-process client: owns a channel, tracks its next sequence number,

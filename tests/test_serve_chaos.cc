@@ -4,7 +4,8 @@
 // snapshot rename, forced mid-batch checkpoints, consumer stalls — after
 // which the durable match stream must be BYTE-EQUAL to a single-process
 // no-fault oracle replay of the same ops. This is the end-to-end pin on
-// the S <= W <= J durability protocol (serve/server.h).
+// the S <= W <= J durability protocol (serve/server.h). The schedule runs
+// at two snapshot cadences: every few ops, and one no run reaches.
 
 #include <unistd.h>
 
@@ -91,8 +92,8 @@ FaultPlan PlanForCycle(int cycle, Rng& rng) {
       plan.wal_torn_at_record = 1 + rng.NextBounded(10);
       break;
     case 2:
-      // >= 2 so the recovery/registration commit of the incarnation that
-      // carries this plan survives; a later runtime commit tears.
+      // >= 2 so the match commit of the incarnation's Start() snapshot
+      // survives; a later runtime commit tears.
       plan.matchlog_torn_at_commit = 2 + rng.NextBounded(2);
       break;
     case 3:
@@ -110,15 +111,18 @@ FaultPlan PlanForCycle(int cycle, Rng& rng) {
   return plan;
 }
 
-/// Runs one full chaos schedule over `ops` and returns the number of
-/// restarts performed. The final durable stream is compared to `oracle`.
+/// Runs one full chaos schedule over `ops` at the given snapshot cadence
+/// and returns the number of restarts performed. The final durable stream
+/// is compared to `oracle`.
 int RunChaosSchedule(uint64_t seed, const testutil::RandomCase& c,
-                     const UpdateStream& ops, const std::string& oracle) {
+                     const UpdateStream& ops, const std::string& oracle,
+                     uint64_t checkpoint_every_ops,
+                     uint32_t checkpoint_interval_ms) {
   TempDir dir("seed" + std::to_string(seed));
   ServeOptions base;
   base.data_dir = dir.str();
-  base.checkpoint_every_ops = 7;
-  base.checkpoint_interval_ms = 25;
+  base.checkpoint_every_ops = checkpoint_every_ops;
+  base.checkpoint_interval_ms = checkpoint_interval_ms;
   base.drain_wait_ms = 2;
   base.batch_window = 8;
 
@@ -215,7 +219,9 @@ int RunChaosSchedule(uint64_t seed, const testutil::RandomCase& c,
   return restarts;
 }
 
-TEST(ServeChaos, FiftyKillRestartCyclesStayByteEqualToOracle) {
+/// The 10 seeded schedules at one snapshot cadence.
+void RunTenSeeds(uint64_t checkpoint_every_ops,
+                 uint32_t checkpoint_interval_ms) {
   int total_restarts = 0;
   int nonempty_oracles = 0;
   for (uint64_t seed = 0; seed < 10; ++seed) {
@@ -238,13 +244,27 @@ TEST(ServeChaos, FiftyKillRestartCyclesStayByteEqualToOracle) {
         MatchLog::CanonicalMatchStream(std::span<const MatchRecord>())) {
       ++nonempty_oracles;
     }
-    total_restarts += RunChaosSchedule(seed, c, ops, oracle);
+    total_restarts += RunChaosSchedule(seed, c, ops, oracle,
+                                       checkpoint_every_ops,
+                                       checkpoint_interval_ms);
     if (::testing::Test::HasFailure()) break;  // don't drown the report
   }
   EXPECT_GE(total_restarts, 50);
   // Byte-equality of empty streams proves nothing; most seeds must have
   // actual matches flowing through the fault schedule.
   EXPECT_GE(nonempty_oracles, 5);
+}
+
+TEST(ServeChaos, FiftyKillRestartCyclesStayByteEqualToOracle) {
+  RunTenSeeds(/*checkpoint_every_ops=*/7, /*checkpoint_interval_ms=*/25);
+}
+
+// At a cadence no run reaches, the only snapshots are the ones Start()
+// writes, so every restart replays from its incarnation's Start() across
+// many match commits, far behind the match watermark.
+TEST(ServeChaos, RestartsFarBehindTheMatchWatermarkStayByteEqualToOracle) {
+  RunTenSeeds(/*checkpoint_every_ops=*/1'000'000,
+              /*checkpoint_interval_ms=*/60'000);
 }
 
 }  // namespace

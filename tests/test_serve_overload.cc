@@ -45,6 +45,27 @@ class TempDir {
   fs::path path_;
 };
 
+/// Evaluation pinned at 500 ops/sec behind a 40-op queue, with the
+/// snapshot cadence out of reach and tier dwell times in milliseconds.
+ServeOptions StormOptions(const std::string& data_dir) {
+  ServeOptions options;
+  options.data_dir = data_dir;
+  // Pin sustainable throughput: 2 ms busy time per op = 500 ops/sec.
+  options.eval_throttle_us = 2000;
+  // Cap below the producers' aggregate in-flight ops (8 channels x 8-op
+  // batches = 64 offered), so admission genuinely fills and bounces.
+  options.admission.queue_cap = 40;
+  options.batch_window = 16;
+  options.widen_batch_window = 16;
+  // Keep snapshots out of the way so eval_throttle_us dominates the cost.
+  options.checkpoint_every_ops = 100000;
+  options.checkpoint_interval_ms = 60000;
+  options.drain_wait_ms = 2;
+  options.overload.sustain_us = 2000;
+  options.overload.recover_us = 10000;
+  return options;
+}
+
 TEST(ServeOverload, FourTimesOverloadDegradesGracefullyAndRecovers) {
   testutil::RandomCaseConfig config;
   config.stream_ops = 4;  // the stream itself is irrelevant; load is synthetic
@@ -54,21 +75,7 @@ TEST(ServeOverload, FourTimesOverloadDegradesGracefullyAndRecovers) {
   testutil::RandomCase other = testutil::MakeRandomCase(8201, config);
 
   TempDir dir("storm");
-  ServeOptions options;
-  options.data_dir = dir.str();
-  // Pin sustainable throughput: 2 ms busy time per op = 500 ops/sec.
-  options.eval_throttle_us = 2000;
-  // Cap below the producers' aggregate in-flight ops (8 channels x 8-op
-  // batches = 64 offered), so admission genuinely fills and bounces.
-  options.admission.queue_cap = 40;
-  options.batch_window = 16;
-  options.widen_batch_window = 16;
-  // Keep commits out of the way so eval_throttle_us dominates the cost.
-  options.checkpoint_every_ops = 100000;
-  options.checkpoint_interval_ms = 60000;
-  options.drain_wait_ms = 2;
-  options.overload.sustain_us = 2000;
-  options.overload.recover_us = 10000;
+  ServeOptions options = StormOptions(dir.str());
 
   std::unique_ptr<Server> server;
   ASSERT_TRUE(Server::Create(options, &c.g0, &server).ok());
@@ -181,6 +188,70 @@ TEST(ServeOverload, FourTimesOverloadDegradesGracefullyAndRecovers) {
   // Everything acked during the storm is durable and committed.
   EXPECT_EQ(server->committed_ops(), server->accepted_ops());
   EXPECT_EQ(server->accepted_ops(), 8 * oks.load());
+}
+
+// A shed changes the query set, so it snapshots at once. A crash before
+// the next cadence snapshot must not bring the shed query back: W already
+// covers matches evaluated without it.
+TEST(ServeOverload, ShedSurvivesACrashBeforeTheNextSnapshot) {
+  testutil::RandomCaseConfig config;
+  config.stream_ops = 4;
+  testutil::RandomCase c = testutil::MakeRandomCase(8202, config);
+  testutil::RandomCase other = testutil::MakeRandomCase(8203, config);
+
+  TempDir dir("shed_crash");
+  ServeOptions options = StormOptions(dir.str());
+
+  std::unique_ptr<Server> server;
+  ASSERT_TRUE(Server::Create(options, &c.g0, &server).ok());
+  multi::QueryId critical = 0, best_effort = 0;
+  ASSERT_TRUE(server->RegisterQuery(c.query, /*priority=*/5, &critical).ok());
+  ASSERT_TRUE(
+      server->RegisterQuery(other.query, /*priority=*/1, &best_effort).ok());
+  server->Start();
+
+  // 8 producers press until the server goes down under them.
+  std::vector<std::thread> producers;
+  for (uint64_t channel = 1; channel <= 8; ++channel) {
+    producers.emplace_back([&, channel] {
+      uint64_t seq = 1;
+      std::vector<UpdateOp> batch;
+      for (int i = 0; i < 8; ++i) {
+        batch.push_back(UpdateOp::Insert(
+            static_cast<VertexId>(channel), 0,
+            static_cast<VertexId>((channel + i) % c.g0.VertexCount())));
+      }
+      while (true) {
+        Response r = server->Submit(channel, seq, batch);
+        if (r.kind == Response::Kind::kOk || r.kind == Response::Kind::kDup) {
+          seq = r.seq + 1;
+        } else if (r.kind == Response::Kind::kRetry) {
+          std::this_thread::sleep_for(std::chrono::milliseconds(
+              std::min<uint32_t>(std::max<uint32_t>(1, r.retry_after_ms),
+                                 10)));
+        } else {
+          return;  // killed
+        }
+      }
+    });
+  }
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(10);
+  while (server->LiveQueryCount() == 2 &&
+         std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  server->Kill();
+  for (std::thread& t : producers) t.join();
+  const size_t at_kill = server->LiveQueryCount();
+  ASSERT_EQ(at_kill, 1u) << "the storm never shed the best-effort query";
+  server.reset();
+
+  std::unique_ptr<Server> recovered;
+  ASSERT_TRUE(Server::Create(options, nullptr, &recovered).ok());
+  EXPECT_EQ(recovered->LiveQueryCount(), at_kill);
+  recovered->Shutdown();
+  EXPECT_FALSE(recovered->died());
 }
 
 }  // namespace

@@ -6,14 +6,20 @@
 
 #include <unistd.h>
 
+#include <algorithm>
+#include <chrono>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <memory>
 #include <span>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "gtest/gtest.h"
 #include "testutil.h"
+#include "turboflux/harness/fault_injection.h"
 #include "turboflux/multi/query_set.h"
 #include "turboflux/serve/server.h"
 
@@ -60,18 +66,22 @@ class OracleSink : public multi::QuerySet::Sink {
   std::vector<MatchRecord> records;
 };
 
-/// Replays the whole case through a QuerySet in one process — the match
-/// stream a crash-free server must reproduce byte-for-byte.
-std::vector<MatchRecord> OracleReplay(const testutil::RandomCase& c) {
+/// Replays the whole case through a QuerySet in one process, registering
+/// the query after the first `register_at` ops — the match stream a
+/// crash-free server must reproduce byte-for-byte.
+std::vector<MatchRecord> OracleReplay(const testutil::RandomCase& c,
+                                      size_t register_at = 0) {
   multi::QuerySet set;
   set.Bind(c.g0);
   OracleSink sink;
-  multi::QueryId id = 0;
-  sink.op_index = set.applied_ops();
-  EXPECT_TRUE(set.Register(c.query, sink, Deadline::Infinite(), &id).ok());
-  for (const UpdateOp& op : c.stream) {
+  for (size_t i = 0; i <= c.stream.size(); ++i) {
     sink.op_index = set.applied_ops();
-    Status s = set.ApplyUpdate(op, sink, Deadline::Infinite());
+    if (i == register_at) {
+      multi::QueryId id = 0;
+      EXPECT_TRUE(set.Register(c.query, sink, Deadline::Infinite(), &id).ok());
+    }
+    if (i == c.stream.size()) break;
+    Status s = set.ApplyUpdate(c.stream[i], sink, Deadline::Infinite());
     EXPECT_NE(s.code(), StatusCode::kDeadlineExceeded);
   }
   return std::move(sink.records);
@@ -90,6 +100,33 @@ testutil::RandomCase ServeCase(uint64_t seed) {
   testutil::RandomCaseConfig config;
   config.stream_ops = 60;
   return testutil::MakeRandomCase(seed, config);
+}
+
+std::string ReadBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+/// Submits the rest of the stream after the durable position, shuts down,
+/// and checks the durable stream against OracleReplay(c, register_at).
+void FinishAgainstOracle(Server& server, const testutil::RandomCase& c,
+                         size_t register_at = 0) {
+  ServerHandle handle(server, 1);
+  const size_t durable = handle.next_seq() - 1;
+  if (durable < c.stream.size()) {
+    Response r = handle.Submit(std::span<const UpdateOp>(
+        c.stream.data() + durable, c.stream.size() - durable));
+    ASSERT_EQ(r.kind, Response::Kind::kOk);
+  }
+  server.Shutdown();
+  EXPECT_FALSE(server.died());
+  std::vector<MatchRecord> committed;
+  ASSERT_TRUE(server.CommittedMatches(&committed).ok());
+  std::vector<MatchRecord> oracle = OracleReplay(c, register_at);
+  EXPECT_FALSE(oracle.empty());
+  EXPECT_EQ(MatchLog::CanonicalMatchStream(committed),
+            MatchLog::CanonicalMatchStream(oracle));
 }
 
 TEST(ServeServer, AcksSubmitsAndMatchesOracleReplay) {
@@ -294,6 +331,165 @@ TEST(ServeServer, HealthAndStatsServeWithoutStreaming) {
     ASSERT_EQ(page.matches.size(), 1u);
     EXPECT_TRUE(page.matches[0] == committed[1]);
   }
+}
+
+TEST(ServeServer, MatchesCommitPerBatchWhileTheSnapshotWaits) {
+  testutil::RandomCase c = ServeCase(4105);
+  const std::vector<MatchRecord> oracle = OracleReplay(c);
+  auto makes_match = [&](uint64_t op) {
+    return std::any_of(oracle.begin(), oracle.end(),
+                       [op](const MatchRecord& m) { return m.op_index == op; });
+  };
+  // Op k makes a match and op k + 1 none. Initial matches carry index 0
+  // like op 0's, so k starts at 1.
+  uint64_t k = 0;
+  for (uint64_t i = 1; i + 1 < c.stream.size() && k == 0; ++i) {
+    if (makes_match(i) && !makes_match(i + 1)) k = i;
+  }
+  ASSERT_GT(k, 0u) << "no match followed by a match-free op in the case";
+
+  TempDir dir("perbatch");
+  ServeOptions options = FastOptions(dir.str());
+  options.checkpoint_every_ops = 1'000'000;
+  options.checkpoint_interval_ms = 60'000;
+  std::unique_ptr<Server> server;
+  ASSERT_TRUE(Server::Create(options, &c.g0, &server).ok());
+  multi::QueryId id = 0;
+  ASSERT_TRUE(server->RegisterQuery(c.query, 1, &id).ok());
+  server->Start();
+  const std::string snapshot_path = dir.str() + "/snapshot.tfxq";
+  const std::string log_path = dir.str() + "/matches.log";
+  const std::string snapshot = ReadBytes(snapshot_path);
+  ASSERT_FALSE(snapshot.empty());
+
+  // W must cover `ops` once their batch is evaluated, not at the 60 s
+  // timer (2 s leaves room for sanitizer builds).
+  auto committed_soon = [&](uint64_t ops) {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(2);
+    while (server->committed_ops() < ops &&
+           std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    return server->committed_ops() >= ops;
+  };
+
+  ServerHandle handle(*server, 1);
+  ASSERT_EQ(
+      handle.Submit(std::span<const UpdateOp>(c.stream.data(), k + 1)).kind,
+      Response::Kind::kOk);
+  ASSERT_TRUE(committed_soon(k + 1));
+  Response page = server->Matches(0, 1'000'000);
+  ASSERT_EQ(page.kind, Response::Kind::kMatches);
+  ASSERT_FALSE(page.matches.empty());
+  EXPECT_EQ(page.matches.back().op_index, k);
+  std::vector<MatchRecord> through_k;
+  for (const MatchRecord& m : oracle) {
+    if (m.op_index <= k) through_k.push_back(m);
+  }
+  EXPECT_EQ(MatchLog::CanonicalMatchStream(page.matches),
+            MatchLog::CanonicalMatchStream(through_k));
+  EXPECT_EQ(ReadBytes(snapshot_path), snapshot);
+
+  // A match-free batch advances W in memory and writes nothing.
+  const std::string log = ReadBytes(log_path);
+  ASSERT_EQ(
+      handle.Submit(std::span<const UpdateOp>(c.stream.data() + k + 1, 1))
+          .kind,
+      Response::Kind::kOk);
+  ASSERT_TRUE(committed_soon(k + 2));
+  EXPECT_EQ(ReadBytes(log_path), log);
+  EXPECT_EQ(ReadBytes(snapshot_path), snapshot);
+  server->Shutdown();
+  EXPECT_FALSE(server->died());
+}
+
+TEST(ServeServer, CrashBeforeStartLeavesAFreshDir) {
+  testutil::RandomCase c = ServeCase(4106);
+  TempDir dir("setup_kill");
+  {
+    std::unique_ptr<Server> server;
+    ASSERT_TRUE(Server::Create(FastOptions(dir.str()), &c.g0, &server).ok());
+    multi::QueryId id = 0;
+    ASSERT_TRUE(server->RegisterQuery(c.query, 1, &id).ok());
+    server->Kill();
+  }
+  EXPECT_FALSE(fs::exists(dir.str() + "/snapshot.tfxq"));
+
+  // The registration was never durable: the dir reopens from g0 with no
+  // queries, and registering again reports the initial matches once.
+  std::unique_ptr<Server> server;
+  ASSERT_TRUE(Server::Create(FastOptions(dir.str()), &c.g0, &server).ok());
+  EXPECT_EQ(server->LiveQueryCount(), 0u);
+  multi::QueryId id = 0;
+  ASSERT_TRUE(server->RegisterQuery(c.query, 1, &id).ok());
+  server->Start();
+  FinishAgainstOracle(*server, c);
+}
+
+TEST(ServeServer, FailedFirstSnapshotKillsTheServerAndLeavesAFreshDir) {
+  testutil::RandomCase c = ServeCase(4107);
+  TempDir dir("setup_die");
+  {
+    FaultPlan plan;
+    plan.die_before_snapshot_rename = 1;
+    FaultInjector injector(plan);
+    ServeOptions options = FastOptions(dir.str());
+    options.injector = &injector;
+    std::unique_ptr<Server> server;
+    ASSERT_TRUE(Server::Create(options, &c.g0, &server).ok());
+    multi::QueryId id = 0;
+    ASSERT_TRUE(server->RegisterQuery(c.query, 1, &id).ok());
+    server->Start();
+    EXPECT_TRUE(server->died());
+    Response r = server->Submit(1, 1, c.stream);
+    EXPECT_EQ(r.kind, Response::Kind::kErr);
+  }
+  // Start()'s match commit landed but its snapshot did not. Without a
+  // snapshot the dir is fresh, and that report must not be kept next to
+  // the one re-registration makes.
+  EXPECT_FALSE(fs::exists(dir.str() + "/snapshot.tfxq"));
+  std::unique_ptr<Server> server;
+  ASSERT_TRUE(Server::Create(FastOptions(dir.str()), &c.g0, &server).ok());
+  EXPECT_EQ(server->LiveQueryCount(), 0u);
+  multi::QueryId id = 0;
+  ASSERT_TRUE(server->RegisterQuery(c.query, 1, &id).ok());
+  server->Start();
+  FinishAgainstOracle(*server, c);
+}
+
+TEST(ServeServer, RegistrationAfterStartSurvivesACrash) {
+  testutil::RandomCase c = ServeCase(4108);
+  TempDir dir("late_register");
+  ServeOptions options = FastOptions(dir.str());
+  options.checkpoint_every_ops = 1'000'000;  // only set changes snapshot
+  options.checkpoint_interval_ms = 60'000;
+  const size_t half = c.stream.size() / 2;
+  {
+    std::unique_ptr<Server> server;
+    ASSERT_TRUE(Server::Create(options, &c.g0, &server).ok());
+    server->Start();
+    ServerHandle handle(*server, 1);
+    ASSERT_EQ(
+        handle.Submit(std::span<const UpdateOp>(c.stream.data(), half)).kind,
+        Response::Kind::kOk);
+    // RegisterQuery waits out the ingest iteration that acked the batch,
+    // so the query joins after exactly `half` ops.
+    multi::QueryId id = 0;
+    ASSERT_TRUE(server->RegisterQuery(c.query, 1, &id).ok());
+    ASSERT_EQ(server->committed_ops(), half);
+    ASSERT_EQ(handle
+                  .Submit(std::span<const UpdateOp>(c.stream.data() + half,
+                                                    c.stream.size() - half))
+                  .kind,
+              Response::Kind::kOk);
+    server->Kill();
+  }
+  std::unique_ptr<Server> server;
+  ASSERT_TRUE(Server::Create(options, nullptr, &server).ok());
+  EXPECT_EQ(server->LiveQueryCount(), 1u);
+  server->Start();
+  FinishAgainstOracle(*server, c, half);
 }
 
 TEST(ServeServer, FreshDirWithoutGraphIsRejected) {

@@ -52,7 +52,7 @@ struct Rig {
     c = testutil::MakeRandomCase(9100, {});
     ServeOptions options;
     options.data_dir = dir.str();
-    options.checkpoint_every_ops = 4;  // commit quickly so MATCHES has data
+    options.checkpoint_every_ops = 4;  // snapshot between match commits
     options.checkpoint_interval_ms = 20;
     options.drain_wait_ms = 2;
     EXPECT_TRUE(Server::Create(options, &c.g0, &server).ok());
@@ -114,8 +114,8 @@ TEST(ServeTcp, PingSubmitPosHealthRoundTrip) {
   EXPECT_EQ(r.kind, Response::Kind::kStats);
   EXPECT_NE(r.text.find("serve.ops_accepted"), std::string::npos);
 
-  // Wait for the checkpoint (every 4 ops / 20 ms) to commit, then read
-  // the durable match stream back over the wire.
+  // Wait for the match commit to cover the 6 ops, then read the durable
+  // match stream back over the wire.
   const auto deadline =
       std::chrono::steady_clock::now() + std::chrono::seconds(10);
   while (rig.server->committed_ops() < 6 &&

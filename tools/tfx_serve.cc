@@ -5,26 +5,32 @@
 // recovers any prior state in --data_dir, then listens on a TCP port for
 // the length-prefixed line protocol (serve/protocol.h): producers submit
 // batches of update ops keyed by (channel, seq) and the daemon answers
-// OK only after the ops are journaled durably. Matches accumulate in a
-// durable match log; health/stats/matches are served from the same port.
+// OK only after the ops are journaled durably. The matches of each drained
+// batch are committed to a durable match log before the next batch runs;
+// health/stats/matches are served from the same port.
 //
 //   tfx_serve --data_dir=DIR --graph=g0.txt --queries=QDIR
 //             [--port=N]                (default 7171; 0 = ephemeral)
 //             [--queue_cap=N]          (admission queue bound, 4096)
-//             [--checkpoint_every=N]   (ops per commit, 512)
-//             [--checkpoint_ms=N]      (max wall ms between commits, 200)
+//             [--checkpoint_every=N]   (ops per snapshot, 65536)
+//             [--checkpoint_ms=N]      (max wall ms between snapshots, 10000)
 //             [--rate_limit=R]         (per-connection ops/sec, 0 = off)
 //             [--threads=N]            (query-set evaluation threads)
 //             [--semantics=hom|iso]
 //
-// A fresh --data_dir requires --graph (it seeds the store); on restart
-// the snapshot in the directory wins and --graph and --queries are
-// ignored (the recovered query set is already in the snapshot). Query
-// files are registered in sorted filename order with priority = index
-// (later files shed first under overload). Stop with SIGINT/SIGTERM: the daemon
-// drains the admission queue, commits, and exits 0.
+// The two checkpoint flags set the snapshot cadence, which bounds only
+// the journal suffix a restart replays; matches never wait for it.
+// A --data_dir without snapshot.tfxq is fresh and requires --graph (it
+// seeds the store): the first snapshot is written once the queries are
+// registered, so a crash before it leaves nothing durable. On restart the
+// snapshot in the directory wins and --graph and --queries are ignored
+// (the recovered query set is already in the snapshot). Query files are
+// registered in sorted filename order with priority = index (later files
+// shed first under overload). Stop with SIGINT/SIGTERM: the daemon drains
+// the admission queue, snapshots, and exits 0.
 //
-// Exit status: 0 clean shutdown, 1 runtime failure, 2 usage/file errors.
+// Exit status: 0 clean shutdown, 1 runtime failure (including a first
+// snapshot that cannot be written), 2 usage/file errors.
 
 #include <csignal>
 #include <cstdio>
@@ -65,9 +71,9 @@ int Main(int argc, char** argv) {
   int64_t queue_cap =
       std::atoll(GetFlag(argc, argv, "queue_cap", "4096").c_str());
   int64_t every =
-      std::atoll(GetFlag(argc, argv, "checkpoint_every", "512").c_str());
+      std::atoll(GetFlag(argc, argv, "checkpoint_every", "65536").c_str());
   int64_t interval_ms =
-      std::atoll(GetFlag(argc, argv, "checkpoint_ms", "200").c_str());
+      std::atoll(GetFlag(argc, argv, "checkpoint_ms", "10000").c_str());
   double rate_limit =
       std::atof(GetFlag(argc, argv, "rate_limit", "0").c_str());
   int64_t threads = std::atoll(GetFlag(argc, argv, "threads", "1").c_str());
@@ -79,13 +85,16 @@ int Main(int argc, char** argv) {
                  "usage: tfx_serve --data_dir=DIR --graph=G --queries=QDIR "
                  "[--port=N] [--queue_cap=N] [--checkpoint_every=N] "
                  "[--checkpoint_ms=N] [--rate_limit=R] [--threads=N] "
-                 "[--semantics=hom|iso]\n");
+                 "[--semantics=hom|iso]\n"
+                 "  --checkpoint_every/--checkpoint_ms: snapshot cadence in "
+                 "ops (65536) and wall ms (10000)\n");
     return 2;
   }
 
   namespace fs = std::filesystem;
-  const bool fresh = !fs::exists(fs::path(data_dir) / "snapshot.tfxq") &&
-                     !fs::exists(fs::path(data_dir) / "ops.wal");
+  // Nothing is durable before the first snapshot, so a dir without one is
+  // fresh even when a crash during set-up left other files behind.
+  const bool fresh = !fs::exists(fs::path(data_dir) / "snapshot.tfxq");
   Graph g0;
   if (fresh) {
     if (graph_path.empty()) {
@@ -167,6 +176,11 @@ int Main(int argc, char** argv) {
   }
 
   server->Start();
+  if (server->died()) {
+    std::fprintf(stderr, "cannot write the first snapshot in %s\n",
+                 data_dir.c_str());
+    return 1;
+  }
   serve::TcpServer tcp;
   st = tcp.Listen(*server, static_cast<uint16_t>(port));
   if (!st.ok()) {

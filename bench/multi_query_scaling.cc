@@ -14,8 +14,9 @@
 // IDENTICAL between the two serving layers (the differential suite pins
 // the full match streams; this is the cheap end-to-end guard), then
 // reports per-op seconds and the consulted-evals counters — the naive
-// layer consults every query on every op, the QuerySet only the routed
-// ones, which is where the sublinear scaling comes from.
+// layer consults every query on every op, the QuerySet only those its
+// label route reaches (routed evals) and its vertex index keeps
+// (consulted evals), which is where the sublinear scaling comes from.
 //
 // The largest count additionally runs a registration-churn scenario:
 // half the queries start registered and the rest rotate in (one
@@ -89,6 +90,7 @@ struct PointResult {
   uint64_t naive_consulted = 0;
   double set_register_seconds = 0;
   double set_stream_seconds = 0;
+  uint64_t set_routed = 0;
   uint64_t set_consulted = 0;
   bool totals_equal = false;
   bool ok = false;
@@ -164,6 +166,7 @@ PointResult RunPoint(const workload::Dataset& dataset,
       if (!st.ok()) return r;
     }
     r.set_stream_seconds = stream.ElapsedSeconds();
+    r.set_routed = set.RoutedEvals();
     r.set_consulted = set.ConsultedEvals();
     r.runtimes = set.RuntimeCount();
     obs::StatsSnapshot snap;
@@ -326,11 +329,12 @@ int Main(int argc, char** argv) {
     }
     std::printf(
         "N=%-5zu runtimes=%-5zu naive: %8.2f us/op (consulted %8llu)  "
-        "queryset: %8.2f us/op (consulted %8llu)  "
+        "queryset: %8.2f us/op (routed %8llu, consulted %8llu)  "
         "consult-ratio %.2fx  totals %s\n",
         p.queries, p.runtimes, PerOp(p.naive_stream_seconds, p.ops) * 1e6,
         static_cast<unsigned long long>(p.naive_consulted),
         PerOp(p.set_stream_seconds, p.ops) * 1e6,
+        static_cast<unsigned long long>(p.set_routed),
         static_cast<unsigned long long>(p.set_consulted),
         p.set_consulted > 0 ? static_cast<double>(p.naive_consulted) /
                                   static_cast<double>(p.set_consulted)
@@ -380,6 +384,7 @@ int Main(int argc, char** argv) {
         << ", \"naive_consulted_evals\": " << p.naive_consulted << ",\n"
         << "     \"queryset_per_op_seconds\": "
         << PerOp(p.set_stream_seconds, p.ops)
+        << ", \"queryset_routed_evals\": " << p.set_routed
         << ", \"queryset_consulted_evals\": " << p.set_consulted << ",\n"
         << "     \"naive_init_seconds\": " << p.naive_init_seconds
         << ", \"queryset_register_seconds\": " << p.set_register_seconds

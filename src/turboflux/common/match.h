@@ -35,6 +35,21 @@ class MatchSink {
   virtual void OnMatch(bool positive, const Mapping& m) = 0;
 };
 
+/// Receives an engine's active-vertex flips. A data vertex is active when
+/// the engine's intermediate state could start work at it: an update
+/// (v, l, v') can change that state or report a match only if v or v' is
+/// active. For TurboFlux that is a DCG in-edge at the vertex (the first
+/// test of Algorithms 5 and 8, Transition 0 Case 2). Owners that serve
+/// many engines (multi::QuerySet) index these flips to skip, per update,
+/// every engine whose endpoints are both inactive.
+class ActiveVertexListener {
+ public:
+  virtual ~ActiveVertexListener() = default;
+
+  /// Called when `v` turns active (`active`) or inactive.
+  virtual void OnActiveChange(VertexId v, bool active) = 0;
+};
+
 /// Drops every match; used when an engine replays updates purely for
 /// their state effect.
 class DiscardSink : public MatchSink {

@@ -71,6 +71,12 @@ bool Dcg::HasInEdge(VertexId v, QVertexId u) const {
   return node != nullptr && (node->in_bits >> u) & 1;
 }
 
+void Dcg::AppendInEdgeVertices(std::vector<VertexId>* out) const {
+  for (VertexId v = 0; v < slot_of_.size(); ++v) {
+    if (HasAnyInEdge(v)) out->push_back(v);
+  }
+}
+
 bool Dcg::MatchAllChildren(VertexId v, QVertexId u) const {
   uint64_t mask = tree_->ChildrenMask(u);
   if (mask == 0) return true;  // u is a leaf of the query tree
@@ -129,15 +135,24 @@ void Dcg::SetState(VertexId from, QVertexId u, VertexId to, DcgState next) {
   Node& to_node = pool_[to_slot];
   std::vector<InEdge>& in = to_node.in[u];
 
-  // Maintain the in-list.
+  // Maintain the in-list; tell the listener when in_bits turns non-zero
+  // or zero.
   if (prev == DcgState::kNull) {
     in.push_back({from, next});
+    if (to_node.in_bits == 0 && listener_ != nullptr) {
+      listener_->OnActiveChange(to, true);
+    }
     to_node.in_bits |= (uint64_t{1} << u);
     ++edge_count_;
   } else if (next == DcgState::kNull) {
     in[in_idx] = in.back();
     in.pop_back();
-    if (in.empty()) to_node.in_bits &= ~(uint64_t{1} << u);
+    if (in.empty()) {
+      to_node.in_bits &= ~(uint64_t{1} << u);
+      if (to_node.in_bits == 0 && listener_ != nullptr) {
+        listener_->OnActiveChange(to, false);
+      }
+    }
     --edge_count_;
   } else {
     in[in_idx].state = next;

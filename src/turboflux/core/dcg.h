@@ -6,6 +6,7 @@
 #include <tuple>
 #include <vector>
 
+#include "turboflux/common/match.h"
 #include "turboflux/common/serialize.h"
 #include "turboflux/common/status.h"
 #include "turboflux/common/types.h"
@@ -88,6 +89,16 @@ class Dcg {
   /// True iff v has any incoming (IMPLICIT or EXPLICIT) edge labeled u.
   bool HasInEdge(VertexId v, QVertexId u) const;
 
+  /// True iff v has an incoming edge of any label (in_bits != 0): the
+  /// vertex is active in the ActiveVertexListener sense.
+  bool HasAnyInEdge(VertexId v) const {
+    const Node* node = GetNode(v);
+    return node != nullptr && node->in_bits != 0;
+  }
+
+  /// Appends every vertex with HasAnyInEdge, ascending.
+  void AppendInEdgeVertices(std::vector<VertexId>* out) const;
+
   /// O(1) MatchAllChildren(v, u) (Algorithm 4): v has at least one
   /// outgoing EXPLICIT edge for every child of u in the query tree.
   bool MatchAllChildren(VertexId v, QVertexId u) const;
@@ -136,6 +147,12 @@ class Dcg {
   /// the counters track logical transitions only.
   void set_stats(obs::DcgStats* stats) { stats_ = stats; }
 
+  /// Binds the listener told when a vertex gains its first in-edge or
+  /// loses its last (nullptr detaches). Keyed on in_bits, not on node
+  /// existence: a node is never freed, so existence only grows. Also an
+  /// observer: Reset/Deserialize neither notify nor unbind it.
+  void set_listener(ActiveVertexListener* listener) { listener_ = listener; }
+
   /// Number of data vertices that ever had a node allocated (a node is
   /// never freed once allocated, even when all its edges are removed —
   /// the populated set is part of the serialized format).
@@ -180,6 +197,7 @@ class Dcg {
   size_t explicit_count_ = 0;
   std::vector<uint64_t> explicit_per_qv_;
   obs::DcgStats* stats_ = nullptr;  // not owned; see set_stats
+  ActiveVertexListener* listener_ = nullptr;  // not owned; see set_listener
 };
 
 }  // namespace turboflux

@@ -83,17 +83,16 @@ bool TurboFluxEngine::InitCommon(MatchSink& sink, Deadline deadline) {
   stats_.intermediate_size.Set(dcg_.EdgeCount());
   stats_.peak_intermediate.SetMax(dcg_.EdgeCount());
   ResetPeakIntermediate();
-  NoteGraphGauges();
+  if (!shared_mode()) SampleGraphLayout(g_, &stats_.graph);
   return true;
 }
 
-void TurboFluxEngine::NoteGraphGauges() {
-  const Graph& g = G();
-  stats_.graph.adj_bytes.Set(g.AdjacencyMemoryBytes());
-  stats_.graph.adj_dead_slots.Set(g.AdjacencyDeadSlots());
-  stats_.graph.pair_table_bytes.Set(g.PairTableMemoryBytes());
-  stats_.graph.compactions.Set(g.CompactionEpochs());
-  stats_.graph.rehashes.Set(g.PairTableRehashes());
+void SampleGraphLayout(const Graph& g, obs::GraphLayoutStats* stats) {
+  stats->adj_bytes.Set(g.AdjacencyMemoryBytes());
+  stats->adj_dead_slots.Set(g.AdjacencyDeadSlots());
+  stats->pair_table_bytes.Set(g.PairTableMemoryBytes());
+  stats->compactions.Set(g.CompactionEpochs());
+  stats->rehashes.Set(g.PairTableRehashes());
 }
 
 void TurboFluxEngine::RebuildDerivedIndexes() {
@@ -198,7 +197,7 @@ bool TurboFluxEngine::ApplyUpdate(const UpdateOp& op, MatchSink& sink,
   stats_.intermediate_size.Set(dcg_.EdgeCount());
   stats_.peak_intermediate.SetMax(dcg_.EdgeCount());
   NotePeakIntermediate();
-  NoteGraphGauges();
+  SampleGraphLayout(g_, &stats_.graph);
   MaybeAdjustMatchingOrder();
   return true;
 }
@@ -237,9 +236,28 @@ bool TurboFluxEngine::EvalSharedUpdate(const UpdateOp& op, MatchSink& sink,
   stats_.intermediate_size.Set(dcg_.EdgeCount());
   stats_.peak_intermediate.SetMax(dcg_.EdgeCount());
   NotePeakIntermediate();
-  NoteGraphGauges();
   MaybeAdjustMatchingOrder();
   return true;
+}
+
+void TurboFluxEngine::SkipSharedUpdates(uint64_t ops, uint64_t inserts) {
+  assert(q_ != nullptr && shared_mode() && inserts <= ops);
+  if (ops == 0) return;
+  applied_ops_ += ops;
+  stats_.ops_insert.Inc(inserts);
+  stats_.insert_evals.Inc(inserts);
+  stats_.ops_delete.Inc(ops - inserts);
+  stats_.delete_evals.Inc(ops - inserts);
+  // MaybeAdjustMatchingOrder once per skipped op, folded: only the first
+  // crossing of the interval can recompute (the DCG is unchanged, so a
+  // later crossing sees no drift), and every crossing restarts the count.
+  const uint64_t interval = std::max<size_t>(options_.adjust_interval, 1);
+  const uint64_t total = ops_since_adjust_check_ + ops;
+  if (total >= interval) {
+    ops_since_adjust_check_ = interval - 1;
+    MaybeAdjustMatchingOrder();
+  }
+  ops_since_adjust_check_ = total % interval;
 }
 
 Status TurboFluxEngine::TryApplyUpdate(const UpdateOp& op, MatchSink& sink,

@@ -24,6 +24,12 @@
 
 namespace turboflux {
 
+/// Samples the graph memory-layout gauges (adjacency slab bytes, dead
+/// slots, pair-table bytes, compaction/rehash counts) from `g`. A
+/// standalone engine samples its own graph after every update; a
+/// QuerySet samples the shared graph once, when its stats are read.
+void SampleGraphLayout(const Graph& g, obs::GraphLayoutStats* stats);
+
 struct TurboFluxOptions {
   MatchSemantics semantics = MatchSemantics::kHomomorphism;
 
@@ -93,6 +99,27 @@ class TurboFluxEngine : public EngineInterface {
   /// ops — the owner skips duplicate insertions / absent deletions.
   bool EvalSharedUpdate(const UpdateOp& op, MatchSink& sink,
                         Deadline deadline);
+
+  /// Shared-mode counterpart of EvalSharedUpdate for ops the owner did not
+  /// evaluate because neither endpoint was active (see
+  /// set_active_vertex_listener): such an op changes no DCG state and
+  /// reports nothing, so accounting for `ops` of them (`inserts` of which
+  /// are insertions) advances only what evaluating them would have —
+  /// applied_ops(), the op counters and the adjust-interval count. A
+  /// drift check the interval crossed runs once here; the DCG has not
+  /// changed since the skipped op, so its result is the same.
+  void SkipSharedUpdates(uint64_t ops, uint64_t inserts);
+
+  /// The engine's vertex-activity hook (ActiveVertexListener): `listener`
+  /// is told whenever a data vertex gains its first DCG in-edge or loses
+  /// its last (nullptr detaches). Not owned.
+  void set_active_vertex_listener(ActiveVertexListener* listener) {
+    dcg_.set_listener(listener);
+  }
+  /// Appends every currently active vertex, ascending.
+  void AppendActiveVertices(std::vector<VertexId>* out) const {
+    dcg_.AppendInEdgeVertices(out);
+  }
 
   bool shared_mode() const { return shared_g_ != nullptr; }
 
@@ -251,10 +278,6 @@ class TurboFluxEngine : public EngineInterface {
 
   void MaybeAdjustMatchingOrder();
   void RecomputeMatchingOrder();
-
-  /// Refreshes the graph memory-layout gauges (adjacency slab bytes, dead
-  /// slots, pair-table bytes, compaction/rehash counts) from G().
-  void NoteGraphGauges();
 
   /// Rebuilds everything derivable from (q_, tree_, g_): dedup ranks,
   /// label-indexed seed lists, the mapping scratch, and start_vertices_.

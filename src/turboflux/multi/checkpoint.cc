@@ -7,9 +7,9 @@
 //   QREG  the registry: per live query (id, dense runtime index, costs)
 // followed by each live runtime's engine state via
 // TurboFluxEngine::WriteStateSections(include_graph=false), in dense
-// (ascending slot) order. Runtime signatures and the routing index are
-// derivable and recomputed on restore; per-engine section framing and
-// validation is the engine's own.
+// (ascending slot) order. Runtime signatures, the routing index and the
+// vertex index are derivable and recomputed on restore; per-engine
+// section framing and validation is the engine's own.
 
 #include <istream>
 #include <memory>
@@ -51,6 +51,9 @@ Status QuerySet::Checkpoint(std::ostream& out) const {
 
   Status st = bin::WriteHeader(out, kMagic, kFormatVersion);
   if (!st.ok()) return st;
+  // The snapshot holds every runtime as if it had evaluated every op
+  // routed to it, the vertex index's skips included.
+  CatchUpAll();
 
   // Dense runtime numbering: slot order with holes squeezed out.
   std::vector<uint32_t> dense_slots;
@@ -67,7 +70,7 @@ Status QuerySet::Checkpoint(std::ostream& out) const {
   bin::PutU64(meta, ops_evaluated_);
   bin::PutU64(meta, ops_noop_);
   bin::PutU64(meta, ops_quarantined_);
-  bin::PutU64(meta, consulted_evals_);
+  bin::PutU64(meta, routed_evals_);
   bin::PutU64(meta, registrations_);
   bin::PutU64(meta, registrations_shared_);
   bin::PutU64(meta, deregistrations_);
@@ -90,7 +93,7 @@ Status QuerySet::Checkpoint(std::ostream& out) const {
     if (!r.live) continue;
     bin::PutU32(reg, id);
     bin::PutU32(reg, slot_to_dense[r.slot]);
-    bin::PutU64(reg, r.costs.routed_ops);
+    bin::PutU64(reg, RoutedOps(id));
     bin::PutU64(reg, r.costs.matches_positive);
     bin::PutU64(reg, r.costs.matches_negative);
   }
@@ -130,10 +133,10 @@ Status QuerySet::Restore(std::istream& in) {
 
   bin::Reader mr(meta);
   uint64_t applied = 0, evaluated = 0, noop = 0, quarantined = 0;
-  uint64_t consulted = 0, regs = 0, regs_shared = 0, deregs = 0;
+  uint64_t routed = 0, regs = 0, regs_shared = 0, deregs = 0;
   uint32_t next_id = 0, num_runtimes = 0;
   if (!mr.GetU64(&applied) || !mr.GetU64(&evaluated) || !mr.GetU64(&noop) ||
-      !mr.GetU64(&quarantined) || !mr.GetU64(&consulted) ||
+      !mr.GetU64(&quarantined) || !mr.GetU64(&routed) ||
       !mr.GetU64(&regs) || !mr.GetU64(&regs_shared) || !mr.GetU64(&deregs) ||
       !mr.GetU32(&next_id) || !mr.GetU32(&num_runtimes) || !mr.exhausted() ||
       num_runtimes > next_id) {
@@ -183,6 +186,7 @@ Status QuerySet::Restore(std::istream& in) {
   // whose address is stable (member storage).
   ResetStateLocked();
   g_ = std::move(g);
+  vertex_index_.Reset(g_.VertexCount());
   bound_ = true;
 
   // Restore the runtimes in dense order. Slots come out dense (no holes)
@@ -200,7 +204,8 @@ Status QuerySet::Restore(std::istream& in) {
       return fail(st);
     }
     // The engine now owns its restored query; re-derive the bookkeeping
-    // the snapshot elides (the signature and the routing keys).
+    // the snapshot elides (the signature, the routing keys and the
+    // runtime's vertex-index entries).
     rt->query = std::make_unique<QueryGraph>(rt->engine->query());
     rt->signature = QuerySignature(*rt->query);
     uint32_t slot = AllocSlot();
@@ -221,7 +226,7 @@ Status QuerySet::Restore(std::istream& in) {
   ops_evaluated_ = evaluated;
   ops_noop_ = noop;
   ops_quarantined_ = quarantined;
-  consulted_evals_ = consulted;
+  routed_evals_ = routed;
   registrations_ = regs;
   registrations_shared_ = regs_shared;
   deregistrations_ = deregs;

@@ -7,6 +7,7 @@
 #include <span>
 #include <string>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "turboflux/common/deadline.h"
@@ -44,8 +45,9 @@ struct QuerySetOptions {
   TurboFluxOptions engine;
 
   /// Worker threads for cross-query evaluation (1 = sequential; N > 1
-  /// evaluates routed runtimes on the calling thread plus N-1 pool
+  /// evaluates an op's runtimes on the calling thread plus up to N-1 pool
   /// workers, with per-runtime match buffers flushed deterministically).
+  /// An op uses min(N, runtimes evaluated) threads.
   size_t threads = 1;
 
   /// Serve signature-identical queries from one shared runtime (engine +
@@ -57,9 +59,12 @@ struct QuerySetOptions {
 
 /// The multi-query serving layer (DESIGN.md §3.10): N standing queries
 /// over ONE shared data graph, with per-query DCG state, online
-/// Register/Deregister while the stream runs, and per-update routing
-/// through an inverted (edge-label, src-label, dst-label) index so each
-/// update only touches the queries it can affect.
+/// Register/Deregister while the stream runs, and two-stage per-update
+/// routing so each update only touches the queries it can affect: an
+/// inverted (edge-label, src-label, dst-label) index, then a vertex index
+/// that keeps the runtimes in which an endpoint is active (has a DCG
+/// in-edge). A routed runtime the vertex index skips is never touched;
+/// what evaluating the op would have counted is applied lazily.
 ///
 /// Replaces a naive per-query engine fan-out (one private graph copy per
 /// query, every query evaluated on every update). Per-query match streams
@@ -91,7 +96,8 @@ class QuerySet {
   /// Per-query cost attribution, maintained unconditionally (plain
   /// uint64 adds on the serving layer, not an engine hot path).
   struct QueryCosts {
-    uint64_t routed_ops = 0;  ///< ops the routing index sent to this query
+    /// ops the label route sent to this query, evaluated or not
+    uint64_t routed_ops = 0;
     uint64_t matches_positive = 0;
     uint64_t matches_negative = 0;
   };
@@ -119,17 +125,20 @@ class QuerySet {
   /// the runtime.
   [[nodiscard]] Status Deregister(QueryId id) EXCLUDES(mu_);
 
-  /// Applies one update: validates it, routes it through the inverted
-  /// index, mutates the shared graph per the update protocol, evaluates
-  /// the routed runtimes (in parallel when options.threads > 1), and
-  /// reports every match tagged with its query id — members ascending
-  /// within a runtime, runtimes in slot order, so output is deterministic.
+  /// Applies one update: validates it, routes it through the label and
+  /// vertex indexes, mutates the shared graph per the update protocol,
+  /// evaluates the runtimes both route to (in parallel when
+  /// options.threads > 1), and reports every match tagged with its query
+  /// id — members ascending within a runtime, runtimes in slot order, so
+  /// output is deterministic.
   ///
   /// Returns kOutOfRange (op quarantined, consumed as a no-op),
   /// kNotFound / kFailedPrecondition (legal no-op, consumed), OK
   /// (evaluated), or kDeadlineExceeded — the set is then dead: no matches
   /// of the abandoned op were flushed and the op was NOT consumed;
-  /// Restore() from a snapshot and replay from applied_ops().
+  /// Restore() from a snapshot and replay from applied_ops(). The
+  /// deadline is polled once per op that the label route sends to any
+  /// runtime, evaluated or not.
   [[nodiscard]] Status ApplyUpdate(const UpdateOp& op, Sink& sink,
                                    Deadline deadline) EXCLUDES(mu_);
 
@@ -169,39 +178,87 @@ class QuerySet {
   bool dead() const EXCLUDES(mu_);
   const Graph& graph() const EXCLUDES(mu_);
 
-  /// Per-query attribution; zeros for unknown/deregistered ids.
+  /// Per-query attribution; zeros for unknown ids, the totals at exit
+  /// for deregistered ones.
   QueryCosts Costs(QueryId id) const EXCLUDES(mu_);
-  /// Total runtime evaluations across all ops — the "queries consulted"
-  /// figure the naive fan-out pays QueryCount() per op for.
+  /// Runtime evaluations across all ops since Bind or Restore (it is not
+  /// snapshotted): the "queries consulted" figure the naive fan-out pays
+  /// QueryCount() per op for.
   uint64_t ConsultedEvals() const EXCLUDES(mu_);
+  /// Runtimes the label route reached across all ops (snapshotted), so
+  /// RoutedEvals() - ConsultedEvals() is what the vertex index saved.
+  uint64_t RoutedEvals() const EXCLUDES(mu_);
 
-  /// Appends set counters ("queryset.*"), per-query attribution
+  /// The engine serving `id`, first caught up on every op routed to it;
+  /// nullptr for unknown or deregistered ids. For introspection: the
+  /// pointer stays valid until the query's runtime is dropped or the set
+  /// restored, and must not be read concurrently with other calls.
+  const TurboFluxEngine* Engine(QueryId id) EXCLUDES(mu_);
+
+  /// Exhaustive check of the vertex index: it must hold exactly the
+  /// (vertex, slot) pairs whose runtime has the vertex active, ascending
+  /// per vertex. Returns an empty string when consistent, else the first
+  /// violation (like Dcg::Validate). O(|V| · runtimes); for tests.
+  std::string ValidateVertexIndex() const EXCLUDES(mu_);
+
+  /// Appends set counters ("queryset.*"), the shared graph's layout
+  /// gauges ("queryset.graph.*"), per-query attribution
   /// ("queryset.q<ID>.*"), and each runtime's engine counters (under its
   /// lowest live member id) to `out`.
   void AppendStats(obs::StatsSnapshot& out) const EXCLUDES(mu_);
 
  private:
   /// One engine serving every registered query with an identical
-  /// signature.
-  struct Runtime {
+  /// signature. It is its engine's ActiveVertexListener: flips are
+  /// buffered here while the engine evaluates (pool workers may evaluate
+  /// runtimes concurrently) and applied to the vertex index afterwards.
+  struct Runtime : ActiveVertexListener {
+    Runtime() = default;
+    Runtime(const Runtime&) = delete;  // the engine holds its address
+    Runtime& operator=(const Runtime&) = delete;
+
     std::unique_ptr<QueryGraph> query;  // stable address for the engine
     std::unique_ptr<TurboFluxEngine> engine;
     std::vector<QueryId> members;  // live member ids, ascending
     std::string signature;
+    // The slot's routed count as of the engine's last CatchUp.
+    RoutingIndex::RoutedCount synced;
+    std::vector<std::pair<VertexId, bool>> flips;
+
+    void OnActiveChange(VertexId v, bool active) override {
+      flips.emplace_back(v, active);
+    }
   };
 
   struct QueryRecord {
     uint32_t slot = 0;
     bool live = false;
+    // costs.routed_ops is the total as of the slot's routed count
+    // `routed_mark`; RoutedOps adds what was routed since.
     QueryCosts costs;
+    uint64_t routed_mark = 0;
   };
+
+  class RuntimeMatchBuffer;  // query_set.cc
 
   uint32_t AllocSlot() REQUIRES(mu_);
   void IndexRuntime(uint32_t slot) REQUIRES(mu_);
   void DropRuntime(uint32_t slot) REQUIRES(mu_);
   void ResetStateLocked() REQUIRES(mu_);
-  bool EvalRouted(const UpdateOp& op, const std::vector<uint32_t>& routed,
-                  Sink& sink, Deadline deadline) REQUIRES(mu_);
+  bool EvalRouted(const UpdateOp& op, size_t routed, Sink& sink,
+                  Deadline deadline) REQUIRES(mu_);
+  uint64_t RoutedOps(QueryId id) const REQUIRES(mu_);
+
+  /// Applies to the runtime in `slot` the ops routed to it that it was
+  /// not evaluated for (TurboFluxEngine::SkipSharedUpdates), except
+  /// `evaluating`, the op about to be evaluated, when non-null. Runs
+  /// before a runtime is evaluated or enumerated and before a snapshot
+  /// or stats read. Logically const: the engine ends up exactly as if it
+  /// had evaluated every routed op, which is what the set's readers
+  /// observe; it is reached through its owning pointer.
+  void CatchUp(uint32_t slot, const UpdateOp* evaluating) const
+      REQUIRES(mu_);
+  void CatchUpAll() const REQUIRES(mu_);
 
   const QuerySetOptions options_;
 
@@ -218,7 +275,16 @@ class QuerySet {
 
   std::unordered_map<std::string, uint32_t> by_signature_ GUARDED_BY(mu_);
   RoutingIndex routing_ GUARDED_BY(mu_);
-  std::vector<uint32_t> route_scratch_ GUARDED_BY(mu_);
+  VertexIndex vertex_index_ GUARDED_BY(mu_);
+
+  // Per-op scratch, reused so a warm EvalRouted does not allocate: the
+  // slots evaluated, their engines (for pool workers), their match
+  // buffers, and the mapping a flush passes to the sink.
+  std::vector<uint32_t> evaluated_ GUARDED_BY(mu_);
+  std::vector<TurboFluxEngine*> evaluated_engines_ GUARDED_BY(mu_);
+  std::vector<RuntimeMatchBuffer> buffers_ GUARDED_BY(mu_);
+  Mapping flush_scratch_ GUARDED_BY(mu_);
+  std::vector<VertexId> active_scratch_ GUARDED_BY(mu_);
 
   uint64_t applied_ops_ GUARDED_BY(mu_) = 0;
 
@@ -226,6 +292,7 @@ class QuerySet {
   uint64_t ops_evaluated_ GUARDED_BY(mu_) = 0;
   uint64_t ops_noop_ GUARDED_BY(mu_) = 0;
   uint64_t ops_quarantined_ GUARDED_BY(mu_) = 0;
+  uint64_t routed_evals_ GUARDED_BY(mu_) = 0;
   uint64_t consulted_evals_ GUARDED_BY(mu_) = 0;
   uint64_t registrations_ GUARDED_BY(mu_) = 0;
   uint64_t registrations_shared_ GUARDED_BY(mu_) = 0;

@@ -36,21 +36,41 @@ inline constexpr Label kAnyRoutingLabel = 0xFFFFFFFFu;
 ///
 /// Targets are small dense integers (runtime slots). Route() deduplicates
 /// across keys with an epoch-stamped scratch vector, so the hot path
-/// allocates nothing once warmed up.
+/// allocates nothing once warmed up. The same stamp pass counts, per
+/// target, the ops routed to it: the QuerySet applies those counts
+/// lazily to runtimes it did not evaluate (DESIGN.md §3.10).
 class RoutingIndex {
  public:
-  /// Registers `target` under one key per edge of `q`.
+  /// Ops (and insertions among them) routed to a target since its last
+  /// Add.
+  struct RoutedCount {
+    uint64_t ops = 0;
+    uint64_t inserts = 0;
+  };
+
+  /// Registers `target` under one key per edge of `q` and zeroes its
+  /// routed count (a reused slot starts over).
   void Add(uint32_t target, const QueryGraph& q);
 
   /// Removes `target` from every key `q` hashed it under. The same `q`
   /// that was passed to Add must be used (keys are recomputed from it).
   void Remove(uint32_t target, const QueryGraph& q);
 
-  /// Appends every target with at least one key compatible with an update
-  /// of label `l` between endpoints labeled `src` / `dst`. Output is
-  /// sorted ascending and duplicate-free; `out` is cleared first.
-  void Route(EdgeLabel l, const LabelSet& src, const LabelSet& dst,
-             std::vector<uint32_t>* out);
+  /// Marks every target with at least one key compatible with an update
+  /// of label `l` between endpoints labeled `src` / `dst` as routed for
+  /// this op (Routed), adds the op to its RoutedCount, and returns how
+  /// many targets that is.
+  size_t Route(EdgeLabel l, const LabelSet& src, const LabelSet& dst,
+               bool insert);
+
+  /// True iff the last Route reached `target`.
+  bool Routed(uint32_t target) const {
+    return target < stamp_.size() && stamp_[target] == epoch_;
+  }
+
+  RoutedCount routed_count(uint32_t target) const {
+    return target < routed_.size() ? routed_[target] : RoutedCount{};
+  }
 
   size_t KeyCount() const { return index_.size(); }
 
@@ -74,14 +94,41 @@ class RoutingIndex {
 
   static Key KeyFor(const QueryGraph& q, QEdgeId e);
 
-  void Probe(EdgeLabel l, Label s, Label d, std::vector<uint32_t>* out);
+  size_t Probe(EdgeLabel l, Label s, Label d, bool insert);
 
   std::unordered_map<Key, std::vector<uint32_t>, KeyHash> index_;
 
-  // Per-target dedup stamps for Route: stamp_[t] == epoch_ means target t
-  // is already in the current output.
+  // Per-target dedup stamps for Route: stamp_[t] == epoch_ means the
+  // current op already reached target t.
   std::vector<uint32_t> stamp_;
   uint32_t epoch_ = 0;
+  std::vector<RoutedCount> routed_;  // indexed by target
+};
+
+/// The second routing stage (DESIGN.md §3.10): data vertex -> the slots
+/// of the runtimes in which that vertex is active (ActiveVertexListener).
+/// An update (v, l, v2) can act in a runtime only if v or v2 is active
+/// there, so the QuerySet evaluates the label route ∩ (Slots(v) ∪
+/// Slots(v2)). Holds one entry per active (vertex, runtime) pair; each
+/// vertex's list is ascending.
+class VertexIndex {
+ public:
+  /// Empties the index over a universe of `num_vertices` data vertices.
+  void Reset(size_t num_vertices);
+
+  void Add(VertexId v, uint32_t slot);
+  void Remove(VertexId v, uint32_t slot);
+
+  const std::vector<uint32_t>& Slots(VertexId v) const { return slots_[v]; }
+  size_t VertexCount() const { return slots_.size(); }
+
+  /// Sets `out` to the slots in Slots(v) ∪ Slots(v2) that the last
+  /// route.Route reached, ascending.
+  void Candidates(VertexId v, VertexId v2, const RoutingIndex& route,
+                  std::vector<uint32_t>* out) const;
+
+ private:
+  std::vector<std::vector<uint32_t>> slots_;
 };
 
 }  // namespace multi

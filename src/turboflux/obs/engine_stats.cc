@@ -81,8 +81,8 @@ void EngineStats::Reset() {
   graph.Reset();
 }
 
-void EngineStats::AppendTo(StatsSnapshot& out,
-                           const std::string& prefix) const {
+void EngineStats::AppendTo(StatsSnapshot& out, const std::string& prefix,
+                           bool include_graph) const {
   out.AddCounter(prefix + "ops_insert", ops_insert.value());
   out.AddCounter(prefix + "ops_delete", ops_delete.value());
   out.AddCounter(prefix + "insert_evals", insert_evals.value());
@@ -106,7 +106,7 @@ void EngineStats::AppendTo(StatsSnapshot& out,
   }
   dcg.AppendTo(out, prefix + "dcg.");
   dcs.AppendTo(out, prefix + "dcs.");
-  graph.AppendTo(out, prefix + "graph.");
+  if (include_graph) graph.AppendTo(out, prefix + "graph.");
 }
 
 }  // namespace obs

@@ -52,10 +52,12 @@ struct DcsStats {
 };
 
 /// Data-graph memory-layout gauges (DESIGN.md §3.11), sampled from the
-/// Graph accessors after every applied update. `adj_dead_slots` vs the
-/// live entry count is the signal the tombstone/compaction regression
-/// tests watch; `compactions`/`rehashes` are monotonic event counts
-/// surfaced as gauges because the Graph owns the authoritative tally.
+/// Graph accessors after every update of a standalone engine (a QuerySet
+/// samples its shared graph when its stats are read). `adj_dead_slots`
+/// vs the live entry count is the signal the tombstone/compaction
+/// regression tests watch; `compactions`/`rehashes` are monotonic event
+/// counts surfaced as gauges because the Graph owns the authoritative
+/// tally.
 struct GraphLayoutStats {
   Gauge adj_bytes;         ///< adjacency slab + span bytes (out + in)
   Gauge adj_dead_slots;    ///< relocation holes awaiting compaction
@@ -98,8 +100,10 @@ struct EngineStats {
 
   /// Exports every metric as prefix + member name ("engine." yields
   /// "engine.search_states", "engine.dcg.transitions", ...). Histograms
-  /// get a "_ns" suffix and are recorded in nanoseconds.
-  void AppendTo(StatsSnapshot& out, const std::string& prefix) const;
+  /// get a "_ns" suffix and are recorded in nanoseconds. Engines that
+  /// share one graph leave `graph` to its owner (`include_graph=false`).
+  void AppendTo(StatsSnapshot& out, const std::string& prefix,
+                bool include_graph = true) const;
 };
 
 }  // namespace obs

@@ -112,6 +112,7 @@ TEST(QuerySet, LifecycleRegisterApplyDeregister) {
   EXPECT_EQ(set.QueryCount(), 1u);
   EXPECT_FALSE(set.IsLive(q_path));
   EXPECT_FALSE(set.Deregister(q_path).ok());  // already gone
+  EXPECT_EQ(set.ValidateVertexIndex(), "");
 
   // The dead query must see nothing further; the live one still reports.
   ASSERT_TRUE(set.ApplyUpdate(Delete(1, 1, 2), sink, inf).ok());
@@ -122,6 +123,7 @@ TEST(QuerySet, LifecycleRegisterApplyDeregister) {
   QueryId q_again = 0;
   ASSERT_TRUE(set.Register(f.path, sink, inf, &q_again).ok());
   EXPECT_EQ(q_again, 2u);
+  EXPECT_EQ(set.ValidateVertexIndex(), "");
 }
 
 TEST(QuerySet, RegisterAgainstLiveGraphReportsCurrentMatches) {
@@ -256,6 +258,57 @@ TEST(QuerySet, ExpiredDeadlineKillsSetWithoutConsumingOp) {
             StatusCode::kFailedPrecondition);
 }
 
+// The label route reaches the path query with (3 -1-> 4), but neither
+// endpoint has a DCG in-edge there (3 has no A-labelled parent), so the
+// vertex index evaluates no runtime. The deadline must still be polled:
+// the set dies, the op is not consumed and nothing is flushed.
+TEST(QuerySet, ExpiredDeadlineKillsSetWhenIndexSkipsEveryRuntime) {
+  Fixture f;
+  Graph g0 = f.g0;
+  const VertexId b = g0.AddVertex(LabelSet{1});  // 3
+  const VertexId c = g0.AddVertex(LabelSet{2});  // 4
+  // Two label-1 edges make A -0-> B the path's most selective edge, so
+  // the tree is rooted at A and only A vertices start out active.
+  const VertexId b2 = g0.AddVertex(LabelSet{1});
+  const VertexId c2 = g0.AddVertex(LabelSet{2});
+  g0.AddEdge(b2, 1, c2);
+  g0.AddEdge(b, 1, c2);
+  Deadline inf = Deadline::Infinite();
+
+  // The premise, on a twin set with no deadline: routed, not evaluated.
+  {
+    QuerySet twin;
+    twin.Bind(g0);
+    RecordingSink sink;
+    QueryId q = 0;
+    ASSERT_TRUE(twin.Register(f.path, sink, inf, &q).ok());
+    ASSERT_TRUE(twin.ApplyUpdate(Insert(b, 1, c), sink, inf).ok());
+    ASSERT_EQ(twin.RoutedEvals(), 1u);
+    ASSERT_EQ(twin.ConsultedEvals(), 0u);
+  }
+
+  QuerySet set;
+  set.Bind(g0);
+  RecordingSink sink;
+  QueryId q = 0;
+  ASSERT_TRUE(set.Register(f.path, sink, inf, &q).ok());
+  Deadline expired = Deadline::AfterMillis(-1);
+  Status st = set.ApplyUpdate(Insert(b, 1, c), sink, expired);
+  EXPECT_EQ(st.code(), StatusCode::kDeadlineExceeded);
+  EXPECT_TRUE(set.dead());
+  EXPECT_EQ(set.applied_ops(), 0u);
+  EXPECT_EQ(set.ConsultedEvals(), 0u);
+  EXPECT_EQ(sink.positives(q), 0u);
+
+  // An op the label route sends nowhere never polls it: a label-2 edge
+  // matches no query edge.
+  QuerySet quiet;
+  quiet.Bind(g0);
+  ASSERT_TRUE(quiet.Register(f.path, sink, inf, &q).ok());
+  EXPECT_TRUE(quiet.ApplyUpdate(Insert(b, 2, c), sink, expired).ok());
+  EXPECT_FALSE(quiet.dead());
+}
+
 TEST(QuerySet, CheckpointRestoreRoundTrip) {
   Fixture f;
   QuerySet set;
@@ -275,6 +328,7 @@ TEST(QuerySet, CheckpointRestoreRoundTrip) {
 
   QuerySet restored;
   ASSERT_TRUE(restored.Restore(snapshot).ok());
+  EXPECT_EQ(restored.ValidateVertexIndex(), "");
   EXPECT_EQ(restored.QueryCount(), set.QueryCount());
   EXPECT_EQ(restored.RuntimeCount(), set.RuntimeCount());
   EXPECT_EQ(restored.applied_ops(), set.applied_ops());
@@ -341,11 +395,22 @@ TEST(QuerySet, AppendStatsExportsPerQueryAttribution) {
   EXPECT_EQ(snap.Value("queryset.queries_live"), 2u);
   EXPECT_EQ(snap.Value("queryset.q0.routed_ops"), 2u);
   EXPECT_EQ(snap.Value("queryset.q1.routed_ops"), 1u);
-  EXPECT_EQ(snap.Value("queryset.consulted_evals"),
+  // routed_ops counts what the label route sent; consulted_evals only the
+  // runtimes the vertex index then evaluated (here every routed one).
+  EXPECT_EQ(snap.Value("queryset.routed_evals"),
             snap.Value("queryset.q0.routed_ops") +
                 snap.Value("queryset.q1.routed_ops"));
-  // Engine counters ride along under the runtime's lowest member id.
+  EXPECT_LE(snap.Value("queryset.consulted_evals"),
+            snap.Value("queryset.routed_evals"));
+  EXPECT_EQ(snap.Value("queryset.consulted_evals"), 3u);
+  // Engine counters ride along under the runtime's lowest member id; the
+  // shared graph's layout gauges are exported once, for the set.
   EXPECT_GT(snap.Value("queryset.q0.engine.ops_insert"), 0u);
+  EXPECT_TRUE(snap.Has("queryset.graph.adj_bytes"));
+  EXPECT_FALSE(snap.Has("queryset.q0.engine.graph.adj_bytes"));
+  if (obs::kStatsCompiled) {
+    EXPECT_GT(snap.Value("queryset.graph.adj_bytes"), 0u);
+  }
 }
 
 TEST(RoutingIndex, WildcardAndLabeledProbesAreSound) {
@@ -353,22 +418,56 @@ TEST(RoutingIndex, WildcardAndLabeledProbesAreSound) {
   Fixture f;
   RoutingIndex index;
   index.Add(7, f.path);
-  std::vector<uint32_t> out;
 
-  index.Route(0, LabelSet{0}, LabelSet{1}, &out);
-  EXPECT_EQ(out, (std::vector<uint32_t>{7}));
-  index.Route(1, LabelSet{1}, LabelSet{2}, &out);
-  EXPECT_EQ(out, (std::vector<uint32_t>{7}));
+  EXPECT_EQ(index.Route(0, LabelSet{0}, LabelSet{1}, true), 1u);
+  EXPECT_TRUE(index.Routed(7));
+  EXPECT_EQ(index.Route(1, LabelSet{1}, LabelSet{2}, false), 1u);
+  EXPECT_TRUE(index.Routed(7));
   // Wrong label or wrong endpoint labels: not routed.
-  index.Route(2, LabelSet{0}, LabelSet{1}, &out);
-  EXPECT_TRUE(out.empty());
-  index.Route(0, LabelSet{2}, LabelSet{1}, &out);
-  EXPECT_TRUE(out.empty());
+  EXPECT_EQ(index.Route(2, LabelSet{0}, LabelSet{1}, true), 0u);
+  EXPECT_FALSE(index.Routed(7));
+  EXPECT_EQ(index.Route(0, LabelSet{2}, LabelSet{1}, true), 0u);
+  EXPECT_FALSE(index.Routed(7));
+  // Only the two routed ops were counted, one of them an insertion.
+  EXPECT_EQ(index.routed_count(7).ops, 2u);
+  EXPECT_EQ(index.routed_count(7).inserts, 1u);
 
   index.Remove(7, f.path);
   EXPECT_EQ(index.KeyCount(), 0u);
-  index.Route(0, LabelSet{0}, LabelSet{1}, &out);
+  EXPECT_EQ(index.Route(0, LabelSet{0}, LabelSet{1}, true), 0u);
+  // Re-adding the slot starts its count over.
+  index.Add(7, f.path);
+  EXPECT_EQ(index.routed_count(7).ops, 0u);
+}
+
+TEST(RoutingIndex, VertexIndexCandidatesAreTheRoutedUnionAscending) {
+  Fixture f;
+  RoutingIndex route;
+  route.Add(1, f.single);
+  route.Add(2, f.single);
+  route.Add(5, f.path);
+  VertexIndex index;
+  index.Reset(3);
+  index.Add(1, 5);
+  index.Add(1, 2);
+  index.Add(2, 2);
+  index.Add(2, 1);
+  index.Add(0, 3);  // slot 3 is not routed below
+  EXPECT_EQ(index.Slots(1), (std::vector<uint32_t>{2, 5}));
+
+  std::vector<uint32_t> out;
+  ASSERT_EQ(route.Route(1, LabelSet{1}, LabelSet{2}, true), 3u);
+  index.Candidates(1, 2, route, &out);
+  EXPECT_EQ(out, (std::vector<uint32_t>{1, 2, 5}));
+  index.Candidates(0, 0, route, &out);
   EXPECT_TRUE(out.empty());
+  index.Candidates(2, 2, route, &out);  // a self-loop lists each slot once
+  EXPECT_EQ(out, (std::vector<uint32_t>{1, 2}));
+
+  index.Remove(1, 5);
+  index.Remove(1, 9);  // absent: a no-op
+  index.Candidates(1, 0, route, &out);
+  EXPECT_EQ(out, (std::vector<uint32_t>{2}));
 }
 
 // Concurrent Register/Deregister against a running update loop. All
@@ -412,6 +511,7 @@ TEST(QuerySetSyncStress, ConcurrentRegistrationAndEvaluation) {
   EXPECT_EQ(set.applied_ops(), 200u);
   EXPECT_EQ(set.QueryCount(), 1u);  // every churned query was deregistered
   EXPECT_TRUE(set.IsLive(seed_id));
+  EXPECT_EQ(set.ValidateVertexIndex(), "");
 }
 
 }  // namespace

@@ -187,10 +187,11 @@ int RunQuerySet(const std::string& queries_dir, const Graph& g0,
   std::fprintf(
       stderr,
       "engine=queryset queries=%zu runtimes=%zu init=%.3fs stream=%.3fs "
-      "ops=%llu consulted=%llu positive=%llu negative=%llu "
+      "ops=%llu routed=%llu consulted=%llu positive=%llu negative=%llu "
       "intermediate=%zu%s\n",
       set.QueryCount(), set.RuntimeCount(), init_seconds, stream_seconds,
       static_cast<unsigned long long>(set.applied_ops()),
+      static_cast<unsigned long long>(set.RoutedEvals()),
       static_cast<unsigned long long>(set.ConsultedEvals()),
       static_cast<unsigned long long>(positive),
       static_cast<unsigned long long>(negative), set.IntermediateSize(),
